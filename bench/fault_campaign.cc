@@ -114,15 +114,12 @@ main(int argc, char **argv)
     }
 
     // ------------------------------------------------------------------
-    banner("Site-pinned stuck bit: armed fallback vs batched unarmed "
-           "arrays");
+    banner("Site-pinned stuck bit: only the pinned array is corrupted");
     {
-        // A stuck bit pinned to the M-type site arms only M0's
-        // accumulator corruption; the same live campaign leaves G0
-        // unarmed, so its tiles keep the diagonal-batched stepped path
-        // while M0's take the scalar-walk fallback. The table shows the
-        // faults landing only on the armed site and the wall-clock gap
-        // between the two engines under one active injector.
+        // A stuck bit pinned to the M-type site corrupts only M0's
+        // accumulators; the same live campaign leaves G0 untouched. Both
+        // arrays run the selected engine with the injector attached, so
+        // the wall-clock columns differ only by the dataflows' own work.
         const std::size_t seq = quick ? 48 : 96;
         const std::size_t hidden = quick ? 128 : 256;
         Rng data_rng(11);
@@ -156,8 +153,7 @@ main(int argc, char **argv)
             return n;
         };
 
-        Table table({ "dataflow", "site", "armed", "stuck_events",
-                      "wall(ms)" });
+        Table table({ "dataflow", "site", "stuck_events", "wall(ms)" });
         std::uint64_t seen = 0;
         const auto timeRow = [&](const char *name, const char *site,
                                  auto &&run) {
@@ -170,22 +166,20 @@ main(int argc, char **argv)
             const std::uint64_t total = countStuck();
             const std::uint64_t fresh = total - seen;
             seen = total;
-            table.addRow({ name, site,
-                           injector.armsAccumulators(site) ? "yes" : "no",
-                           std::to_string(fresh), Table::fmt(ms, 2) });
+            table.addRow({ name, site, std::to_string(fresh),
+                           Table::fmt(ms, 2) });
         };
         timeRow("dataflow1", "M0",
                 [&] { (void)sim.dataflow1(a, b, 1.0f, nullptr); });
         timeRow("dataflow2", "G0",
                 [&] { (void)sim.dataflow2(a, b, 1.0f, nullptr); });
         table.print(std::cout);
-        std::cout << "\nOnly the armed M-type site records stuck-bit "
-                     "events and pays the\nscalar-walk fallback; the "
-                     "unarmed G-type array stays on the batched\nstepped "
-                     "engine with the campaign attached.\n";
+        std::cout << "\nOnly the pinned M-type site records stuck-bit "
+                     "events; the G-type array\nruns with the same "
+                     "campaign attached and is never corrupted.\n";
 
         if (countStuck() == 0)
-            fatal("site-pinned stuck bit never fired on the armed site");
+            fatal("site-pinned stuck bit never fired on the pinned site");
     }
 
     // ------------------------------------------------------------------

@@ -9,6 +9,25 @@ namespace prose {
 
 AbftChecker::AbftChecker(AbftOptions options) : options_(options) {}
 
+AbftPanelChecksums
+AbftChecker::panelChecksums(AbftPlane b, std::size_t k, std::size_t cols)
+{
+    // Accumulated in double so checksum rounding stays far below the
+    // array's own fp32 rounding.
+    AbftPanelChecksums panel;
+    panel.colSum.assign(k, 0.0);
+    panel.absColSum.assign(k, 0.0);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        const float *brow = b.data + kk * b.stride;
+        for (std::size_t j = 0; j < cols; ++j) {
+            const double v = brow[j];
+            panel.colSum[kk] += v;
+            panel.absColSum[kk] += std::fabs(v);
+        }
+    }
+    return panel;
+}
+
 AbftTileResult
 AbftChecker::checkTile(const Matrix &a, const Matrix &b, Matrix &acc)
 {
@@ -18,41 +37,67 @@ AbftChecker::checkTile(const Matrix &a, const Matrix &b, Matrix &acc)
     PROSE_ASSERT(a.rows() == rows && b.cols() == cols && b.rows() == k,
                  "ABFT operand/accumulator shape mismatch");
 
+    // Checksums run over the bf16-quantized operands the array saw.
+    std::vector<float> qa(a.size()), qb(b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        qa[i] = quantizeBf16(a.data()[i]);
+    for (std::size_t i = 0; i < b.size(); ++i)
+        qb[i] = quantizeBf16(b.data()[i]);
+    const AbftPlane pa{ qa.data(), k };
+    const AbftPlane pb{ qb.data(), cols };
+    const AbftTileResult result =
+        checkTile(pa, pb, panelChecksums(pb, k, cols), acc.data(), cols,
+                  rows, cols, k);
+    for (std::size_t f = 0; f < result.corrected.size(); ++f) {
+        const auto &[r, c] = result.corrected[f];
+        acc(r, c) = result.repaired[f];
+    }
+    return result;
+}
+
+AbftTileResult
+AbftChecker::checkTile(AbftPlane a, AbftPlane b,
+                       const AbftPanelChecksums &panel, const float *acc,
+                       std::size_t acc_stride, std::size_t rows,
+                       std::size_t cols, std::size_t k)
+{
+    PROSE_ASSERT(panel.colSum.size() == k && panel.absColSum.size() == k,
+                 "ABFT panel checksums cover the wrong depth");
+    const std::vector<double> &col_sum_b = panel.colSum;
+    const std::vector<double> &abs_col_sum_b = panel.absColSum;
+
     AbftTileResult result;
     ++stats_.tilesChecked;
 
-    // Checksum vectors over the bf16-quantized operands the array saw,
-    // accumulated in double so checksum rounding stays far below the
-    // array's own fp32 rounding.
-    std::vector<double> col_sum_b(k, 0.0), abs_col_sum_b(k, 0.0);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        for (std::size_t j = 0; j < cols; ++j) {
-            const double v = quantizeBf16(b(kk, j));
-            col_sum_b[kk] += v;
-            abs_col_sum_b[kk] += std::fabs(v);
-        }
-    }
+    // Every sum below adds its terms in the same ascending order as the
+    // textbook loop nest; the loops are only interchanged so each plane
+    // is read along its rows.
     std::vector<double> row_sum_a(k, 0.0), abs_row_sum_a(k, 0.0);
-    for (std::size_t kk = 0; kk < k; ++kk) {
-        for (std::size_t i = 0; i < rows; ++i) {
-            const double v = quantizeBf16(a(i, kk));
+    for (std::size_t i = 0; i < rows; ++i) {
+        const float *arow = a.data + i * a.stride;
+        for (std::size_t kk = 0; kk < k; ++kk) {
+            const double v = arow[kk];
             row_sum_a[kk] += v;
             abs_row_sum_a[kk] += std::fabs(v);
         }
     }
 
     // Row residuals: actual row sums of C vs a(r,:) . colsum(B).
+    std::vector<double> row_expected(rows, 0.0);
     std::vector<double> row_residual(rows, 0.0), row_mass(rows, 0.0);
     for (std::size_t r = 0; r < rows; ++r) {
+        const float *arow = a.data + r * a.stride;
         double expected = 0.0, mass = 0.0;
         for (std::size_t kk = 0; kk < k; ++kk) {
-            const double v = quantizeBf16(a(r, kk));
+            const double v = arow[kk];
             expected += v * col_sum_b[kk];
             mass += std::fabs(v) * abs_col_sum_b[kk];
         }
+        const float *crow = acc + r * acc_stride;
         double actual = 0.0;
         for (std::size_t j = 0; j < cols; ++j)
-            actual += acc(r, j);
+            actual += crow[j];
+        row_expected[r] = expected;
         row_residual[r] = expected - actual;
         row_mass[r] = mass;
         const double thresh = options_.relTolerance * mass;
@@ -61,20 +106,25 @@ AbftChecker::checkTile(const Matrix &a, const Matrix &b, Matrix &acc)
     }
 
     // Column residuals: actual column sums vs rowsum(A) . b(:,c).
-    std::vector<double> col_residual(cols, 0.0), col_mass(cols, 0.0);
-    for (std::size_t c = 0; c < cols; ++c) {
-        double expected = 0.0, mass = 0.0;
-        for (std::size_t kk = 0; kk < k; ++kk) {
-            const double v = quantizeBf16(b(kk, c));
-            expected += row_sum_a[kk] * v;
-            mass += abs_row_sum_a[kk] * std::fabs(v);
+    std::vector<double> col_expected(cols, 0.0), col_mass(cols, 0.0);
+    for (std::size_t kk = 0; kk < k; ++kk) {
+        const float *brow = b.data + kk * b.stride;
+        for (std::size_t c = 0; c < cols; ++c) {
+            const double v = brow[c];
+            col_expected[c] += row_sum_a[kk] * v;
+            col_mass[c] += abs_row_sum_a[kk] * std::fabs(v);
         }
-        double actual = 0.0;
-        for (std::size_t i = 0; i < rows; ++i)
-            actual += acc(i, c);
-        col_residual[c] = expected - actual;
-        col_mass[c] = mass;
-        const double thresh = options_.relTolerance * mass;
+    }
+    std::vector<double> col_actual(cols, 0.0);
+    for (std::size_t i = 0; i < rows; ++i) {
+        const float *crow = acc + i * acc_stride;
+        for (std::size_t c = 0; c < cols; ++c)
+            col_actual[c] += crow[c];
+    }
+    std::vector<double> col_residual(cols, 0.0);
+    for (std::size_t c = 0; c < cols; ++c) {
+        col_residual[c] = col_expected[c] - col_actual[c];
+        const double thresh = options_.relTolerance * col_mass[c];
         if (!(std::fabs(col_residual[c]) <= thresh))
             result.suspectCols.push_back(c);
     }
@@ -111,16 +161,14 @@ AbftChecker::checkTile(const Matrix &a, const Matrix &b, Matrix &acc)
             if (options_.correct) {
                 // Rebuild the cell from its row checksum and the
                 // healthy cells (robust even when the cell is Inf/NaN).
-                double expected = 0.0;
-                for (std::size_t kk = 0; kk < k; ++kk)
-                    expected += static_cast<double>(quantizeBf16(a(r, kk))) *
-                                col_sum_b[kk];
+                const float *crow = acc + r * acc_stride;
                 double others = 0.0;
                 for (std::size_t j = 0; j < cols; ++j)
                     if (j != c)
-                        others += acc(r, j);
-                acc(r, c) = static_cast<float>(expected - others);
+                        others += crow[j];
                 result.corrected.emplace_back(r, c);
+                result.repaired.push_back(
+                    static_cast<float>(row_expected[r] - others));
             }
         } else if (!candidates.empty()) {
             for (const std::size_t c : candidates) {

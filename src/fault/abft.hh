@@ -57,8 +57,32 @@ struct AbftTileResult
     std::vector<std::size_t> suspectCols;
     /** Row x column intersection: the located accumulators. */
     std::vector<std::pair<std::size_t, std::size_t>> located;
-    /** Cells repaired in-place (subset of `located`). */
+    /** Cells repaired (subset of `located`). */
     std::vector<std::pair<std::size_t, std::size_t>> corrected;
+    /** The repaired fp32 value of each `corrected` cell, in order. */
+    std::vector<float> repaired;
+};
+
+/**
+ * Zero-copy view of one bf16-quantized operand: element (i, j) is
+ * data[i * stride + j], already rounded to bf16 and widened back to
+ * fp32 — exactly the values the array's edge latches see (the wide
+ * planes of the functional simulator's tile views).
+ */
+struct AbftPlane
+{
+    const float *data;
+    std::size_t stride;
+};
+
+/**
+ * Checksums of one k x cols B column panel. They depend on B alone, so
+ * one panel's checksums serve every row tile that multiplies it.
+ */
+struct AbftPanelChecksums
+{
+    std::vector<double> colSum;    ///< per k: sum over j of b(k, j)
+    std::vector<double> absColSum; ///< per k: sum over j of |b(k, j)|
 };
 
 /** Detection-coverage accounting across a whole run. */
@@ -95,11 +119,29 @@ class AbftChecker
     const AbftStats &stats() const { return stats_; }
     void resetStats() { stats_ = AbftStats{}; }
 
+    /** Checksums of a k x cols quantized B panel. */
+    static AbftPanelChecksums panelChecksums(AbftPlane b, std::size_t k,
+                                             std::size_t cols);
+
     /**
-     * Check (and optionally repair) one tile. `acc` is the live
-     * accumulator region (rows x cols fp32) produced by streaming the
-     * full k depth of `a` (rows x k) against `b` (k x cols); repaired
-     * values are written back into `acc`.
+     * Check one tile: `acc` (rows x cols fp32, row stride acc_stride)
+     * is the live accumulator region produced by streaming the full k
+     * depth of `a` (rows x k) against `b` (k x cols), whose checksums
+     * are `panel`. The accumulators are only read: when
+     * options().correct is set, the repaired value of each corrected
+     * cell is returned in the result for the caller to write back
+     * (the array's accumulator repair port).
+     */
+    AbftTileResult checkTile(AbftPlane a, AbftPlane b,
+                             const AbftPanelChecksums &panel,
+                             const float *acc, std::size_t acc_stride,
+                             std::size_t rows, std::size_t cols,
+                             std::size_t k);
+
+    /**
+     * Matrix form: quantizes `a` (rows x k) and `b` (k x cols) to bf16
+     * and checks `acc` (rows x cols fp32), writing repaired values back
+     * into `acc`.
      */
     AbftTileResult checkTile(const Matrix &a, const Matrix &b,
                              Matrix &acc);

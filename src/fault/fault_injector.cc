@@ -102,18 +102,6 @@ FaultInjector::corruptAccumulators(const std::string &site, float *acc,
     return corrupted;
 }
 
-bool
-FaultInjector::armsAccumulators(const std::string &site) const
-{
-    if (spec_.accFlipRate > 0.0)
-        return true;
-    for (const StuckBitFault &stuck : spec_.stuckBits) {
-        if (stuck.site == site)
-            return true;
-    }
-    return false;
-}
-
 FaultInjector::LinkOutcome
 FaultInjector::sampleLinkTransfer(char type_code)
 {

@@ -37,8 +37,9 @@ class FaultInjector
     /**
      * Apply the campaign's accumulator faults to one live tile region:
      * transient single-bit flips at acc_flip_rate per cell, then any
-     * stuck bits whose site matches. Called by SystolicArray after each
-     * matmulTile; a null injector means the hot loop is untouched.
+     * stuck bits whose site matches. Called by SystolicArray once after
+     * each matmulTile, whichever engine computed the tile; a null
+     * injector means the hot loop is untouched.
      *
      * @param site array site id (e.g. "M0")
      * @param acc the n x n accumulator backing store
@@ -50,17 +51,6 @@ class FaultInjector
     std::size_t corruptAccumulators(const std::string &site, float *acc,
                                     std::size_t stride, std::size_t rows,
                                     std::size_t cols);
-
-    /**
-     * True when corruptAccumulators(site, ...) could draw from the RNG
-     * or corrupt a cell at this site: the campaign sets a transient
-     * accumulator flip rate (site-independent) or schedules a stuck bit
-     * whose site matches. Const and RNG-free, so the systolic layer can
-     * consult it per tile: an unarmed site keeps the diagonal-batched
-     * stepped path, an armed one falls back to the scalar PE walk
-     * (docs/FAULT_MODEL.md replay contract).
-     */
-    bool armsAccumulators(const std::string &site) const;
 
     /** Outcome of one link transfer attempt. */
     struct LinkOutcome

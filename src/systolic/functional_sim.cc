@@ -18,28 +18,17 @@ FunctionalSimulator::FunctionalSimulator(ArrayGeometry m_geometry,
 {
     PROSE_ASSERT(g_geometry.hasGelu, "G-Type array must carry GELU LUTs");
     PROSE_ASSERT(e_geometry.hasExp, "E-Type array must carry Exp LUTs");
-    applyArrayModes();
-}
-
-void
-FunctionalSimulator::applyArrayModes()
-{
-    // ABFT observes and repairs accumulators between the matmul and the
-    // SIMD passes of every tile; keep such runs on the cycle-stepped
-    // reference engine wholesale. (The per-array injector fallback is
-    // handled inside SystolicArray::effectiveMode.)
-    const FsimMode effective =
-        abft_.options().enabled ? FsimMode::Stepped : mode_;
-    mArray_.setMode(effective);
-    gArray_.setMode(effective);
-    eArray_.setMode(effective);
 }
 
 void
 FunctionalSimulator::setMode(FsimMode mode)
 {
+    // Every engine leaves the same accumulators behind each matmulTile,
+    // so fault injection and ABFT run on whichever engine is selected.
     mode_ = mode;
-    applyArrayModes();
+    mArray_.setMode(mode);
+    gArray_.setMode(mode);
+    eArray_.setMode(mode);
 }
 
 Matrix
@@ -82,9 +71,8 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
     // otherwise stride through the full row pitch and thrash the DTLB
     // on wide operands. Both engines consume these: the fast GEMM core
     // directly, the diagonal-batched stepped engine through its
-    // transposed/reversed wavefront planes. Only the scalar PE walk
-    // (armed fault site, non-uniform fill) ignores them, and its tiles
-    // are dominated by the O(dim^2) register sweeps anyway.
+    // transposed/reversed wavefront planes — and so does the ABFT
+    // checker, which reads its checksums straight off them.
     float *wa = arena.alloc<float>(a.size());
     ks.widenRow(wa, qa, a.size());
     float *wpb = arena.alloc<float>(k * std::min(s, n));
@@ -107,6 +95,11 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
         const TileOperand b_view{ b.data() + tn,  n, qb + tn, n,
                                   k,              cols,
                                   wpb,            cols };
+        // The B panel's checksums serve every row tile below.
+        AbftPanelChecksums b_checksums;
+        if (abft_.options().enabled)
+            b_checksums = AbftChecker::panelChecksums({ wpb, cols }, k,
+                                                      cols);
         for (std::size_t tm = 0; tm < m; tm += s) {
             const std::size_t rows = std::min(s, m - tm);
             const TileOperand a_view{ a.row(tm),   k, qa + tm * k, k,
@@ -117,22 +110,17 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
             array.matmulTile(a_view, b_view);
 
             // ABFT: verify the tile's row/column checksums before any
-            // SIMD pass consumes the accumulators; repair located cells
-            // through the accumulator write port. The checker works on
-            // Matrix tiles, so this (stepped-engine) branch alone
-            // materializes copies of the views.
+            // SIMD pass consumes the accumulators, reading the widened
+            // operand planes and the accumulator store in place; repair
+            // located cells through the accumulator write port.
             if (abft_.options().enabled) {
-                Matrix a_tile(rows, k), b_tile(k, cols);
-                for (std::size_t i = 0; i < rows; ++i)
-                    std::copy_n(a.row(tm + i), k, a_tile.row(i));
-                for (std::size_t i = 0; i < k; ++i)
-                    std::copy_n(b.row(i) + tn, cols, b_tile.row(i));
-                Matrix acc = array.accumulators();
-                const AbftTileResult verdict =
-                    abft_.checkTile(a_tile, b_tile, acc);
-                for (const auto &[fix_r, fix_c] : verdict.corrected)
-                    array.overwriteAccumulator(fix_r, fix_c,
-                                               acc(fix_r, fix_c));
+                const AbftTileResult verdict = abft_.checkTile(
+                    { a_view.wide, k }, { wpb, cols }, b_checksums,
+                    array.accumulatorData(), s, rows, cols, k);
+                for (std::size_t f = 0; f < verdict.corrected.size(); ++f)
+                    array.overwriteAccumulator(verdict.corrected[f].first,
+                                               verdict.corrected[f].second,
+                                               verdict.repaired[f]);
             }
 
             // Fused MulAdd: MUL pass (broadcast scalar) + ADD pass
@@ -243,7 +231,6 @@ void
 FunctionalSimulator::setAbft(AbftOptions options)
 {
     abft_ = AbftChecker(options);
-    applyArrayModes();
 }
 
 std::uint64_t

@@ -101,15 +101,14 @@ class FunctionalSimulator
 
     /**
      * Select the functional-simulation engine for all arrays (defaults
-     * to PROSE_FSIM_MODE). ABFT-checked runs always use the stepped
-     * engine regardless of the requested mode (the checker observes
-     * accumulators mid-dataflow under the fault-replay contract), and
-     * each array additionally falls back to stepped on its own when a
-     * fault injector or non-uniform fill profile is present.
+     * to PROSE_FSIM_MODE). Fault injection and ABFT work on every
+     * engine: the injector corrupts each tile once after whichever
+     * engine computed it, and the checker reads the accumulators
+     * between the matmul and the SIMD passes.
      */
     void setMode(FsimMode mode);
 
-    /** The requested engine (before ABFT/injector fallbacks). */
+    /** The selected engine. */
     FsimMode mode() const { return mode_; }
 
     /** @} */
@@ -123,9 +122,6 @@ class FunctionalSimulator
     Matrix runFused(SystolicArray &array, const Matrix &a,
                     const Matrix &b, float alpha, const Matrix *addend,
                     bool apply_special, SimdOp special);
-
-    /** Push mode_ (with the ABFT fallback applied) onto the arrays. */
-    void applyArrayModes();
 
     SystolicArray mArray_;
     SystolicArray gArray_;

@@ -85,10 +85,9 @@ class StreamBuffer
     /**
      * Install a non-uniform fill profile: fill tick t adds
      * rates[t % rates.size()] entries instead of the uniform supply
-     * rate. An empty vector restores the uniform profile. Arrays fed
-     * through a non-uniform profile always take the cycle-stepped
-     * engine (the fast-forward eligibility check consults
-     * uniformFill()).
+     * rate. An empty vector restores the uniform profile. Every
+     * engine honours it: a non-uniform profile is never idealSupply(),
+     * so the fast-forward paths replay the gate tick by tick.
      */
     void setFillProfile(std::vector<double> rates);
 

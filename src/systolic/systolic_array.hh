@@ -31,27 +31,25 @@
  * every operation can run on either of two engines that produce
  * bit-identical register files and identical cycle/stall/MAC counters:
  *
- *  - stepped: the reference wavefront machine above. The PEs active at
- *    wavefront w form one anti-diagonal (i + j + k' == w), and PEs on a
- *    diagonal never depend on each other within a cycle, so the default
- *    stepped path evaluates each diagonal's MACs as contiguous
- *    structure-of-arrays planes through the kernel layer and elides the
- *    per-cycle register sweeps entirely (diagonal batching, bit- and
- *    counter-identical to the scalar PE walk by construction). The
- *    O(dim^2)-per-cycle scalar walk remains as the per-tile fallback
- *    whenever the fault injector is armed for this array's site or a
- *    fill profile is non-uniform — fault replay always sees the
- *    reference machine.
+ *  - stepped: the wavefront machine above, diagonal-batched. The PEs
+ *    active at wavefront w form one anti-diagonal (i + j + k' == w), and
+ *    PEs on a diagonal never depend on each other within a cycle, so
+ *    each diagonal's MACs run as contiguous structure-of-arrays planes
+ *    through the kernel layer and the per-cycle register sweeps are
+ *    elided (bit- and counter-identical to the scalar PE walk by
+ *    construction; the walk itself is the test oracle in
+ *    tests/systolic/scalar_walk_array.hh).
  *  - fast-forward: PE(i, j) receives A(i, k') and B(k', j) together at
  *    wavefront k' + i + j, so its MAC order is ascending k' — a plain
  *    fp32 dot product of the bf16-quantized operands. Cycle and buffer
  *    counters advance by closed form when the stream buffers provably
- *    cannot starve, or by an O(1)-per-cycle gate replay when they can.
+ *    cannot starve, or by an O(1)-per-cycle gate replay (which also
+ *    covers non-uniform fill profiles) when they can.
  *
  * FsimMode selects the engine (API or PROSE_FSIM_MODE); Validate runs
- * both and panics on any state divergence. A fault injector or a
- * non-uniform fill profile forces the stepped engine so the fault-replay
- * contract is untouched.
+ * both and panics on any state divergence. Fault injection is one
+ * post-tile transform applied after whichever engine ran, so every mode
+ * sees the same fault sequence.
  */
 
 #ifndef PROSE_SYSTOLIC_SYSTOLIC_ARRAY_HH
@@ -153,7 +151,8 @@ class SystolicArray
     /**
      * Accumulate C += A x B for one tile. A is (rows <= n) x k; B is
      * k x (cols <= n). Rows/columns beyond the operand shapes simply see
-     * no traffic. Runs on the engine selected by effectiveMode().
+     * no traffic. Runs on the engine selected by mode(), then applies
+     * the attached fault injector's corruption once.
      *
      * The view overload is the zero-copy hot path: both operand planes
      * (fp32 + pre-quantized bf16 bits) are the caller's, nothing is
@@ -202,6 +201,13 @@ class SystolicArray
     Matrix accumulators() const;
 
     /**
+     * Zero-copy read port: the n x n fp32 accumulator store, row stride
+     * geometry().dim; the live region is its top-left corner. The ABFT
+     * checker reads tiles through it.
+     */
+    const float *accumulatorData() const { return acc_.data(); }
+
+    /**
      * Overwrite one live-region accumulator (fp32). This is the repair
      * port the ABFT layer uses to write corrected values back before
      * the SIMD passes consume the tile.
@@ -212,12 +218,12 @@ class SystolicArray
     /**
      * Attach a fault injector (nullptr detaches). While attached, every
      * matmulTile() ends by letting the injector corrupt the live
-     * accumulator region under the given campaign site id (e.g. "M0"),
-     * and every operation runs on the stepped engine regardless of the
-     * requested mode (fault-replay determinism requires the injector's
-     * RNG to advance exactly once per tile, in schedule order). With no
-     * injector attached the datapath is untouched and results are
-     * bit-identical to a fault-free build.
+     * accumulator region under the given campaign site id (e.g. "M0"):
+     * one post-tile transform, applied once after whichever engine ran
+     * (Validate included), so the injector's RNG advances exactly once
+     * per tile in schedule order on every engine. With no injector
+     * attached the datapath is untouched and results are bit-identical
+     * to a fault-free build.
      */
     void setFaultInjector(FaultInjector *injector, std::string site_id);
 
@@ -238,30 +244,8 @@ class SystolicArray
     /** Request an execution engine (defaults to PROSE_FSIM_MODE). */
     void setMode(FsimMode mode) { mode_ = mode; }
 
-    /** The requested engine. */
+    /** The engine every operation runs on. */
     FsimMode mode() const { return mode_; }
-
-    /**
-     * Enable/disable the diagonal-batched stepped matmul path (default
-     * on). With batching off every stepped tile runs the scalar PE
-     * walk — the reference machine the randomized differential tests
-     * compare the batched path against.
-     */
-    void setDiagonalBatching(bool enabled)
-    {
-        diagonalBatching_ = enabled;
-    }
-
-    /** True while the diagonal-batched stepped path is enabled. */
-    bool diagonalBatching() const { return diagonalBatching_; }
-
-    /**
-     * The engine the next operation will actually use: Stepped whenever
-     * a fault injector is attached or either stream buffer has a
-     * non-uniform fill profile (no closed form, and Validate's dual run
-     * would advance the injector RNG twice), otherwise mode().
-     */
-    FsimMode effectiveMode() const;
 
     /** Stream-buffer access (fill profiles, occupancy inspection). */
     StreamBuffer &aBuffer() { return aBuffer_; }
@@ -282,19 +266,7 @@ class SystolicArray
     /** @} */
 
   private:
-    /** PE-register state for the matmul wavefront. */
-    struct Lane
-    {
-        std::vector<float> value;
-        std::vector<std::uint8_t> valid;
-    };
-
-    /**
-     * Complete observable state for validate mode. Lane registers are
-     * deliberately excluded: their valid flags are cleared at the start
-     * of every stepped matmul tile and their values are only read while
-     * valid, so they carry no state across operations.
-     */
+    /** Complete observable state for validate mode. */
     struct EngineState
     {
         std::vector<float> acc;
@@ -316,44 +288,28 @@ class SystolicArray
         const EngineState &fast, std::uint64_t stepped_ret,
         std::uint64_t fast_ret) const;
 
-    /** Run `stepped`/`fast` per effectiveMode(); Validate runs both. */
+    /** Run `stepped`/`fast` per mode(); Validate runs both. */
     template <typename SteppedFn, typename FastFn>
     std::uint64_t dispatch(const char *what, SteppedFn stepped,
                            FastFn fast);
 
-    /** @name The cycle-stepped reference engine @{ */
+    /** @name The cycle-stepped engine @{ */
 
     /**
-     * Stepped matmul dispatcher: the diagonal-batched path unless this
-     * tile needs the scalar PE walk (batching disabled, the injector is
-     * armed for this array's site, or a fill profile is non-uniform).
-     */
-    std::uint64_t steppedMatmulTile(const TileOperand &a,
-                                    const TileOperand &b);
-
-    /** The O(dim^2)-per-cycle scalar PE walk (the reference machine). */
-    std::uint64_t scalarSteppedMatmulTile(const TileOperand &a,
-                                          const TileOperand &b);
-
-    /**
-     * The diagonal-batched stepped engine: gathers the PE state touched
+     * The diagonal-batched stepped matmul: gathers the PE state touched
      * by each anti-diagonal into contiguous arena SoA planes, runs each
      * diagonal's independent MACs through the kernel layer in
      * ascending-k' order per accumulator, and elides the idle register
      * sweeps by advancing cycle/consume counters through the shared
-     * stream-buffer gating. Bit- and counter-identical to the scalar
+     * stream-buffer gating. Bit- and counter-identical to the scalar PE
      * walk (docs/MICROARCHITECTURE.md §9).
      */
-    std::uint64_t diagonalSteppedMatmulTile(const TileOperand &a,
-                                            const TileOperand &b);
+    std::uint64_t steppedMatmulTile(const TileOperand &a,
+                                    const TileOperand &b);
 
     std::uint64_t steppedSimdScalar(SimdOp op, float scalar);
     std::uint64_t steppedSimdVector(SimdOp op, const TileSpan &operand);
     std::uint64_t steppedSimdSpecial(SimdOp op);
-
-    /** Advance the matmul wavefront by one cycle. */
-    void stepMatmulCycle(const TileOperand &a, const TileOperand &b,
-                         std::uint64_t wavefront, std::size_t k_depth);
 
     /** Rotate the live region left one column, writing `results` into
      *  the rightmost live column. */
@@ -372,8 +328,8 @@ class SystolicArray
      * closed form when both buffers have ideal supply, otherwise an
      * O(1)-per-cycle replay of the gate recurrence (bit-equal to the
      * stepped loop because it performs the identical sequence of
-     * occupancy operations). Shared by the fast engine and the
-     * diagonal-batched stepped path — it is the idle-cycle elision:
+     * occupancy operations, non-uniform fill profiles included). Shared
+     * by both engines — it is the idle-cycle elision:
      * with ideal supply no cycle is visited at all, and under
      * fractional rates only the O(1) gate survives per cycle.
      */
@@ -393,11 +349,8 @@ class SystolicArray
     TwoLevelLut geluLut_;
     TwoLevelLut expLut_;
     FsimMode mode_ = defaultFsimMode();
-    bool diagonalBatching_ = true;
 
-    std::vector<float> acc_;   ///< n*n fp32 accumulators
-    Lane aReg_;                ///< eastward-flowing operand registers
-    Lane bReg_;                ///< southward-flowing operand registers
+    std::vector<float> acc_; ///< n*n fp32 accumulators
 
     /**
      * Live (occupied) accumulator region. Grows as the bounding-box

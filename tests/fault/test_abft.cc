@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/random.hh"
 #include "fault/abft.hh"
 #include "fault/fault_injector.hh"
 #include "numerics/bfloat16.hh"
+#include "numerics/float_bits.hh"
 
 namespace prose {
 namespace {
@@ -193,6 +196,85 @@ TEST(Abft, StatsAccumulateAcrossTilesAndReset)
     EXPECT_DOUBLE_EQ(checker.stats().locateRate(), 1.0);
     checker.resetStats();
     EXPECT_EQ(checker.stats().tilesChecked, 0u);
+}
+
+/**
+ * The in-place form reads strided sub-views of larger planes — a row
+ * tile of a quantized A, one column panel of a quantized B, and the
+ * top-left corner of an accumulator store — and shares one panel's
+ * checksums across row tiles. Its verdicts, repaired values and stats
+ * must equal the Matrix form's on every tile.
+ */
+TEST(Abft, TileViewsMatchTheMatrixForm)
+{
+    Rng rng(9);
+    const std::size_t m = 24, k = 40, n = 30, tile = 12, store = 16;
+    Workload w = makeWorkload(rng, m, k, n);
+    for (const std::size_t r : { 1, 13, 22 })
+        w.acc(r, (r * 7) % n) = flipFloatBit(w.acc(r, (r * 7) % n), 29);
+    w.acc(5, 5) = flipFloatBit(w.acc(5, 5), 27);
+    w.acc(5, 8) = flipFloatBit(w.acc(5, 8), 28); // same row: ambiguous
+
+    Matrix qa(m, k), qb(k, n);
+    for (std::size_t i = 0; i < qa.size(); ++i)
+        qa.data()[i] = quantizeBf16(w.a.data()[i]);
+    for (std::size_t i = 0; i < qb.size(); ++i)
+        qb.data()[i] = quantizeBf16(w.b.data()[i]);
+
+    AbftChecker by_view = enabledChecker();
+    AbftChecker by_matrix = enabledChecker();
+    std::size_t corrected = 0;
+    for (std::size_t tn = 0; tn < n; tn += tile) {
+        const std::size_t cols = std::min(tile, n - tn);
+        const AbftPlane b_panel{ qb.data() + tn, n };
+        const AbftPanelChecksums panel =
+            AbftChecker::panelChecksums(b_panel, k, cols);
+        for (std::size_t tm = 0; tm < m; tm += tile) {
+            const std::size_t rows = std::min(tile, m - tm);
+            SCOPED_TRACE(testing::Message() << tm << "," << tn);
+            Matrix a_tile(rows, k), b_tile(k, cols), acc_tile(rows, cols);
+            std::vector<float> acc_store(store * store, -1.0f);
+            for (std::size_t i = 0; i < rows; ++i)
+                for (std::size_t kk = 0; kk < k; ++kk)
+                    a_tile(i, kk) = w.a(tm + i, kk);
+            for (std::size_t kk = 0; kk < k; ++kk)
+                for (std::size_t j = 0; j < cols; ++j)
+                    b_tile(kk, j) = w.b(kk, tn + j);
+            for (std::size_t i = 0; i < rows; ++i)
+                for (std::size_t j = 0; j < cols; ++j)
+                    acc_tile(i, j) = acc_store[i * store + j] =
+                        w.acc(tm + i, tn + j);
+
+            const AbftTileResult view = by_view.checkTile(
+                { qa.row(tm), k }, b_panel, panel, acc_store.data(), store,
+                rows, cols, k);
+            const AbftTileResult matrix =
+                by_matrix.checkTile(a_tile, b_tile, acc_tile);
+            EXPECT_EQ(view.flagged, matrix.flagged);
+            EXPECT_EQ(view.suspectRows, matrix.suspectRows);
+            EXPECT_EQ(view.suspectCols, matrix.suspectCols);
+            EXPECT_EQ(view.located, matrix.located);
+            ASSERT_EQ(view.corrected, matrix.corrected);
+            ASSERT_EQ(view.repaired.size(), view.corrected.size());
+            for (std::size_t f = 0; f < view.corrected.size(); ++f) {
+                const auto &[r, c] = view.corrected[f];
+                EXPECT_EQ(floatBits(view.repaired[f]),
+                          floatBits(acc_tile(r, c)));
+            }
+            corrected += view.corrected.size();
+        }
+    }
+    EXPECT_GT(corrected, 0u);
+    EXPECT_GT(by_view.stats().ambiguousElements, 0u);
+    EXPECT_EQ(by_view.stats().tilesFlagged, by_matrix.stats().tilesFlagged);
+    EXPECT_EQ(by_view.stats().locatedElements,
+              by_matrix.stats().locatedElements);
+    EXPECT_EQ(by_view.stats().ambiguousElements,
+              by_matrix.stats().ambiguousElements);
+    EXPECT_EQ(by_view.stats().correctedElements,
+              by_matrix.stats().correctedElements);
+    EXPECT_EQ(by_view.stats().unlocatedTiles,
+              by_matrix.stats().unlocatedTiles);
 }
 
 } // namespace

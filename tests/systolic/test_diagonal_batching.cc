@@ -1,21 +1,24 @@
 /** @file Cross-validation of the diagonal-batched stepped matmul engine
- *  against the scalar PE walk it replaces: randomized op sequences,
- *  exhaustive edge shapes, mixed-tile live regions, and supply-limited
- *  streams must agree bit-for-bit in register file, counters, and
- *  stream-buffer state. Fault campaigns must take the scalar walk only
- *  when the injector is armed for the array's accumulator site, and the
- *  deterministic replay (event log: cycle order, PE coordinates, bit
- *  positions) must be byte-identical whether batching is enabled or
- *  not. */
+ *  against the scalar PE walk it replaces (the ScalarWalkArray test
+ *  oracle): randomized op sequences, exhaustive edge shapes, mixed-tile
+ *  live regions, and supply-limited streams must agree bit-for-bit in
+ *  register file, counters, and stream-buffer state. Under fault
+ *  campaigns — armed or not for the array's accumulator site — the
+ *  deterministic replay (event log: tile order, PE coordinates, bit
+ *  positions) must be byte-identical on every engine and the oracle. */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
 #include "fault/fault_injector.hh"
 #include "numerics/matrix.hh"
+#include "scalar_walk_array.hh"
 #include "systolic/fsim_mode.hh"
 #include "systolic/systolic_array.hh"
 
@@ -66,8 +69,9 @@ struct SequenceResult
     std::uint64_t bConsumed = 0;
 };
 
+template <typename Array>
 void
-captureStats(const SystolicArray &array, SequenceResult &result)
+captureStats(const Array &array, SequenceResult &result)
 {
     result.matmulCycles = array.matmulCycles();
     result.simdCycles = array.simdCycles();
@@ -83,15 +87,15 @@ captureStats(const SystolicArray &array, SequenceResult &result)
 }
 
 /**
- * Replay a seed-determined random op sequence on one stepped-mode array
- * with diagonal batching on or off. The rng draws are identical across
- * the two configurations, so both see the same geometry, rates, shapes,
- * data, and op mix; matmuls are deliberately over-weighted relative to
- * the fast-forward sequences because the matmul path is the only one
- * batching touches.
+ * Replay a seed-determined random op sequence on the stepped engine or
+ * on the scalar-walk oracle. The rng draws are identical across the
+ * two, so both see the same geometry, rates, shapes, data, and op mix;
+ * matmuls are deliberately over-weighted relative to the fast-forward
+ * sequences because the matmul path is the only one batching touches.
  */
+template <typename Array>
 SequenceResult
-runRandomSequence(bool batching, std::uint64_t seed, bool ideal_rates)
+runRandomSequence(std::uint64_t seed, bool ideal_rates)
 {
     Rng rng(seed);
     const std::size_t dim = 4 + rng.below(13); // 4..16
@@ -99,9 +103,9 @@ runRandomSequence(bool batching, std::uint64_t seed, bool ideal_rates)
     geom.hasExp = true;
     const double a_rate = ideal_rates ? 1e18 : rng.uniform(0.2, 2.5);
     const double b_rate = ideal_rates ? 1e18 : rng.uniform(0.2, 2.5);
-    SystolicArray array(geom, a_rate, b_rate);
-    array.setMode(FsimMode::Stepped);
-    array.setDiagonalBatching(batching);
+    Array array(geom, a_rate, b_rate);
+    if constexpr (std::is_same_v<Array, SystolicArray>)
+        array.setMode(FsimMode::Stepped);
 
     SequenceResult result;
     bool live = false;
@@ -186,8 +190,8 @@ TEST(DiagonalBatching, MatchesScalarWalkOnRandomSequencesIdealSupply)
 {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
         SCOPED_TRACE(seed);
-        expectSequencesAgree(runRandomSequence(true, seed, true),
-                             runRandomSequence(false, seed, true));
+        expectSequencesAgree(runRandomSequence<SystolicArray>(seed, true),
+                             runRandomSequence<ScalarWalkArray>(seed, true));
     }
 }
 
@@ -197,9 +201,9 @@ TEST(DiagonalBatching, MatchesScalarWalkOnRandomSequencesFractionalSupply)
     for (std::uint64_t seed = 100; seed <= 112; ++seed) {
         SCOPED_TRACE(seed);
         const SequenceResult batched =
-            runRandomSequence(true, seed, false);
-        expectSequencesAgree(batched,
-                             runRandomSequence(false, seed, false));
+            runRandomSequence<SystolicArray>(seed, false);
+        expectSequencesAgree(
+            batched, runRandomSequence<ScalarWalkArray>(seed, false));
         saw_stalls = saw_stalls || batched.stallCycles > 0;
     }
     // The sweep must actually exercise the gate-replay elision (the
@@ -231,9 +235,7 @@ TEST(DiagonalBatching, EdgeShapeSweepMatchesScalarWalk)
 
                 SystolicArray batched(ArrayGeometry::mType(dim));
                 batched.setMode(FsimMode::Stepped);
-                SystolicArray scalar(ArrayGeometry::mType(dim));
-                scalar.setMode(FsimMode::Stepped);
-                scalar.setDiagonalBatching(false);
+                ScalarWalkArray scalar(ArrayGeometry::mType(dim));
 
                 const std::uint64_t bc = batched.matmulTile(a, b);
                 const std::uint64_t sc = scalar.matmulTile(a, b);
@@ -259,9 +261,7 @@ TEST(DiagonalBatching, LiveRegionBoundingBoxUnionMatchesScalarWalk)
     Rng rng(11);
     SystolicArray batched(ArrayGeometry::mType(8));
     batched.setMode(FsimMode::Stepped);
-    SystolicArray scalar(ArrayGeometry::mType(8));
-    scalar.setMode(FsimMode::Stepped);
-    scalar.setDiagonalBatching(false);
+    ScalarWalkArray scalar(ArrayGeometry::mType(8));
 
     // Wide-then-tall, tall-then-wide, then a strict-subset tile: every
     // union transition the bounding box can make.
@@ -287,15 +287,13 @@ TEST(DiagonalBatchingFallback, NonUniformFillProfileTakesScalarWalk)
     const Matrix a = randomMatrix(rng, 6, 9, 1.0f);
     const Matrix b = randomMatrix(rng, 9, 5, 1.0f);
 
-    // Bursty host: nothing on even fill ticks, two entries on odd. A
-    // non-uniform profile forces the per-tile scalar walk whether or
-    // not batching is requested, so both arrays must agree — and stall.
+    // Bursty host: nothing on even fill ticks, two entries on odd. The
+    // batched engine replays the gate recurrence tick by tick, so it
+    // must agree with the scalar walk — and stall.
     SystolicArray batched(ArrayGeometry::mType(8), 1.0, 1.0);
     batched.setMode(FsimMode::Stepped);
     batched.aBuffer().setFillProfile({ 0.0, 2.0 });
-    SystolicArray scalar(ArrayGeometry::mType(8), 1.0, 1.0);
-    scalar.setMode(FsimMode::Stepped);
-    scalar.setDiagonalBatching(false);
+    ScalarWalkArray scalar(ArrayGeometry::mType(8), 1.0, 1.0);
     scalar.aBuffer().setFillProfile({ 0.0, 2.0 });
 
     EXPECT_EQ(batched.matmulTile(a, b), scalar.matmulTile(a, b));
@@ -305,51 +303,98 @@ TEST(DiagonalBatchingFallback, NonUniformFillProfileTakesScalarWalk)
     EXPECT_GT(batched.stallCycles(), 0u);
 }
 
+/** A fixed tile list replayed on one engine under a fault campaign. */
+struct FaultReplay
+{
+    Matrix acc;
+    std::string log;
+    std::size_t events = 0;
+    std::uint64_t matmulCycles = 0;
+    std::uint64_t stallCycles = 0;
+    std::uint64_t macCount = 0;
+};
+
+using Tile = std::pair<Matrix, Matrix>;
+
+template <typename Array>
+FaultReplay
+replayUnderCampaign(Array &array, const CampaignSpec &spec,
+                    const std::string &site, const std::vector<Tile> &tiles)
+{
+    FaultInjector injector(spec);
+    array.setFaultInjector(&injector, site);
+    for (const auto &[a, b] : tiles)
+        array.matmulTile(a, b);
+    array.setFaultInjector(nullptr, "");
+    FaultReplay replay;
+    replay.acc = array.accumulators();
+    replay.log = injector.eventLogText();
+    replay.events = injector.events().size();
+    replay.matmulCycles = array.matmulCycles();
+    replay.stallCycles = array.stallCycles();
+    replay.macCount = array.macCount();
+    return replay;
+}
+
 /**
- * Fault-campaign replay: an injector armed for this array's accumulator
- * site (accFlipRate > 0) forces the scalar walk, and the resulting
- * corruption — which cycle order the tiles are visited in, which PE
- * coordinates and bit positions flip — must be byte-identical in the
- * deterministic event log whether diagonal batching was requested or
- * not.
+ * Replay `tiles` under `spec` at `site` on the stepped, fast and
+ * validate engines and on the scalar-walk oracle; every engine must
+ * leave the oracle's accumulator bits, counters and byte-identical
+ * event log. Returns the oracle's replay.
+ */
+FaultReplay
+expectEveryEngineMatchesOracle(const CampaignSpec &spec,
+                               const std::string &site,
+                               const std::vector<Tile> &tiles,
+                               double a_rate = 1e18, double b_rate = 1e18)
+{
+    ScalarWalkArray oracle(ArrayGeometry::mType(8), a_rate, b_rate);
+    const FaultReplay want = replayUnderCampaign(oracle, spec, site, tiles);
+    for (const FsimMode mode :
+         { FsimMode::Stepped, FsimMode::Fast, FsimMode::Validate }) {
+        SCOPED_TRACE(toString(mode));
+        SystolicArray array(ArrayGeometry::mType(8), a_rate, b_rate);
+        array.setMode(mode);
+        const FaultReplay got =
+            replayUnderCampaign(array, spec, site, tiles);
+        expectBitIdentical(got.acc, want.acc, "fault acc");
+        EXPECT_EQ(got.log, want.log);
+        EXPECT_EQ(got.matmulCycles, want.matmulCycles);
+        EXPECT_EQ(got.stallCycles, want.stallCycles);
+        EXPECT_EQ(got.macCount, want.macCount);
+    }
+    return want;
+}
+
+/**
+ * Fault-campaign replay with transient accumulator flips under
+ * supply-limited streams: which tiles are visited in which order, which
+ * PE coordinates and bit positions flip, must be byte-identical in the
+ * deterministic event log on every engine and the scalar walk.
  */
 TEST(DiagonalBatchingFallback, ArmedInjectorReplayIsByteIdentical)
 {
     CampaignSpec spec;
     spec.seed = 77;
     spec.accFlipRate = 0.05;
-    FaultInjector batched_injector(spec);
-    FaultInjector scalar_injector(spec);
-    EXPECT_TRUE(batched_injector.armsAccumulators("M0"));
 
     Rng rng(5);
-    SystolicArray batched(ArrayGeometry::mType(8));
-    batched.setMode(FsimMode::Stepped);
-    batched.setFaultInjector(&batched_injector, "M0");
-    SystolicArray scalar(ArrayGeometry::mType(8));
-    scalar.setMode(FsimMode::Stepped);
-    scalar.setDiagonalBatching(false);
-    scalar.setFaultInjector(&scalar_injector, "M0");
-
+    std::vector<Tile> tiles;
     for (int tile = 0; tile < 4; ++tile) {
-        const Matrix a = randomMatrix(rng, 7, 6, 1.0f);
-        const Matrix b = randomMatrix(rng, 6, 8, 1.0f);
-        batched.matmulTile(a, b);
-        scalar.matmulTile(a, b);
-        expectBitIdentical(batched.accumulators(), scalar.accumulators(),
-                           "fault acc");
+        Matrix a = randomMatrix(rng, 7, 6, 1.0f);
+        Matrix b = randomMatrix(rng, 6, 8, 1.0f);
+        tiles.emplace_back(std::move(a), std::move(b));
     }
-    EXPECT_EQ(batched_injector.eventLogText(),
-              scalar_injector.eventLogText());
-    EXPECT_FALSE(batched_injector.events().empty());
+    const FaultReplay oracle =
+        expectEveryEngineMatchesOracle(spec, "M0", tiles, 0.6, 1.3);
+    EXPECT_GT(oracle.events, 0u);
+    EXPECT_GT(oracle.stallCycles, 0u);
 }
 
 /**
  * An attached injector whose campaign cannot touch this array's
- * accumulators — stuck bits pinned to a different site, link/kill-only
- * campaigns — leaves the diagonal-batched path eligible. The injector's
- * RNG must not advance (byte-identical logs with a batching-off run
- * prove it), and results must match the scalar walk exactly.
+ * accumulators — stuck bits pinned to a different site, link-only
+ * faults — corrupts nothing and logs nothing, on every engine.
  */
 TEST(DiagonalBatchingFallback, UnarmedSiteKeepsBatchingAndReplay)
 {
@@ -364,41 +409,21 @@ TEST(DiagonalBatchingFallback, UnarmedSiteKeepsBatchingAndReplay)
     stuck.stuckHigh = true;
     spec.stuckBits.push_back(stuck);
 
-    FaultInjector batched_injector(spec);
-    FaultInjector scalar_injector(spec);
-    // The campaign arms M0 accumulators but not E0's.
-    EXPECT_TRUE(batched_injector.armsAccumulators("M0"));
-    EXPECT_FALSE(batched_injector.armsAccumulators("E0"));
-
     Rng rng(13);
-    SystolicArray batched(ArrayGeometry::mType(8));
-    batched.setMode(FsimMode::Stepped);
-    batched.setFaultInjector(&batched_injector, "E0");
-    SystolicArray scalar(ArrayGeometry::mType(8));
-    scalar.setMode(FsimMode::Stepped);
-    scalar.setDiagonalBatching(false);
-    scalar.setFaultInjector(&scalar_injector, "E0");
-
+    std::vector<Tile> tiles;
     for (int tile = 0; tile < 3; ++tile) {
-        const Matrix a = randomMatrix(rng, 6, 5, 1.0f);
-        const Matrix b = randomMatrix(rng, 5, 7, 1.0f);
-        batched.matmulTile(a, b);
-        scalar.matmulTile(a, b);
+        Matrix a = randomMatrix(rng, 6, 5, 1.0f);
+        Matrix b = randomMatrix(rng, 5, 7, 1.0f);
+        tiles.emplace_back(std::move(a), std::move(b));
     }
-    expectBitIdentical(batched.accumulators(), scalar.accumulators(),
-                       "unarmed acc");
-    EXPECT_EQ(batched.matmulCycles(), scalar.matmulCycles());
-    EXPECT_EQ(batched.macCount(), scalar.macCount());
-    // No accumulator events at E0, and no divergence in whatever the
-    // log holds.
-    EXPECT_EQ(batched_injector.eventLogText(),
-              scalar_injector.eventLogText());
+    const FaultReplay oracle =
+        expectEveryEngineMatchesOracle(spec, "E0", tiles);
+    EXPECT_EQ(oracle.events, 0u);
 }
 
 /**
- * The same stuck-bit campaign attached at its armed site must force the
- * scalar walk and pin the bit on the exact same PE in both
- * configurations — the site-armed branch of the fallback predicate.
+ * The same stuck-bit campaign attached at its own site pins the bit on
+ * the exact same PE on every engine.
  */
 TEST(DiagonalBatchingFallback, StuckBitAtArmedSiteReplaysIdentically)
 {
@@ -412,36 +437,21 @@ TEST(DiagonalBatchingFallback, StuckBitAtArmedSiteReplaysIdentically)
     stuck.stuckHigh = true;
     spec.stuckBits.push_back(stuck);
 
-    FaultInjector batched_injector(spec);
-    FaultInjector scalar_injector(spec);
-
     Rng rng(13);
     const Matrix a = randomMatrix(rng, 6, 5, 1.0f);
     const Matrix b = randomMatrix(rng, 5, 7, 1.0f);
-
-    SystolicArray batched(ArrayGeometry::mType(8));
-    batched.setMode(FsimMode::Stepped);
-    batched.setFaultInjector(&batched_injector, "M0");
-    SystolicArray scalar(ArrayGeometry::mType(8));
-    scalar.setMode(FsimMode::Stepped);
-    scalar.setDiagonalBatching(false);
-    scalar.setFaultInjector(&scalar_injector, "M0");
-
-    batched.matmulTile(a, b);
-    scalar.matmulTile(a, b);
-    expectBitIdentical(batched.accumulators(), scalar.accumulators(),
-                       "stuck acc");
-    EXPECT_EQ(batched_injector.eventLogText(),
-              scalar_injector.eventLogText());
+    const std::vector<Tile> tiles{ Tile(a, b) };
+    const FaultReplay oracle =
+        expectEveryEngineMatchesOracle(spec, "M0", tiles);
     // The stuck bit really fired on the armed site.
-    EXPECT_FALSE(batched_injector.events().empty());
+    EXPECT_GT(oracle.events, 0u);
 }
 
 /**
  * Validate mode cross-checks the fast engine against the (batched)
  * stepped engine inside dispatch() and panics on divergence; its
- * results must still equal a batching-off stepped run, closing the
- * triangle fast == batched == scalar walk.
+ * results must still equal the scalar walk, closing the triangle
+ * fast == batched == scalar walk.
  */
 TEST(DiagonalBatching, ValidateModeClosesTheEngineTriangle)
 {
@@ -456,9 +466,7 @@ TEST(DiagonalBatching, ValidateModeClosesTheEngineTriangle)
 
         SystolicArray validate(ArrayGeometry::mType(dim));
         validate.setMode(FsimMode::Validate);
-        SystolicArray scalar(ArrayGeometry::mType(dim));
-        scalar.setMode(FsimMode::Stepped);
-        scalar.setDiagonalBatching(false);
+        ScalarWalkArray scalar(ArrayGeometry::mType(dim));
 
         EXPECT_EQ(validate.matmulTile(a, b), scalar.matmulTile(a, b));
         expectBitIdentical(validate.accumulators(),
@@ -466,16 +474,6 @@ TEST(DiagonalBatching, ValidateModeClosesTheEngineTriangle)
         EXPECT_EQ(validate.matmulCycles(), scalar.matmulCycles());
         EXPECT_EQ(validate.macCount(), scalar.macCount());
     }
-}
-
-TEST(DiagonalBatching, ToggleIsObservable)
-{
-    SystolicArray array(ArrayGeometry::mType(8));
-    EXPECT_TRUE(array.diagonalBatching());
-    array.setDiagonalBatching(false);
-    EXPECT_FALSE(array.diagonalBatching());
-    array.setDiagonalBatching(true);
-    EXPECT_TRUE(array.diagonalBatching());
 }
 
 } // namespace

@@ -1,21 +1,26 @@
 /** @file Cross-validation of the fast-forward execution engine against
- *  the cycle-stepped reference: randomized geometries, tile shapes,
- *  supply rates, and op mixes must agree bit-for-bit in register file,
- *  cycle/stall/MAC counters, and stream-buffer state; fault injection,
- *  ABFT, and non-uniform fill profiles must force the stepped engine
- *  without perturbing the deterministic replay contract. Also pins down
- *  the live-region (bounding-box union) semantics with mixed tile
- *  sizes. */
+ *  the cycle-stepped engine: randomized geometries, tile shapes, supply
+ *  rates, and op mixes must agree bit-for-bit in register file,
+ *  cycle/stall/MAC counters, and stream-buffer state. Fault campaigns,
+ *  ABFT, and non-uniform fill profiles run on every engine and must
+ *  leave byte-identical fault logs, bit-identical outputs, and equal
+ *  counters on fast, stepped, validate and the scalar-walk oracle. Also
+ *  pins down the live-region (bounding-box union) semantics with mixed
+ *  tile sizes. */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/random.hh"
 #include "fault/fault_injector.hh"
 #include "numerics/bfloat16.hh"
 #include "numerics/matrix.hh"
+#include "scalar_walk_array.hh"
 #include "systolic/fsim_mode.hh"
 #include "systolic/functional_sim.hh"
 #include "systolic/systolic_array.hh"
@@ -65,15 +70,26 @@ struct SequenceResult
     std::uint64_t bStalls = 0;
     std::uint64_t aConsumed = 0;
     std::uint64_t bConsumed = 0;
+    std::string faultLog;
+};
+
+/** What every engine of one comparison runs under, identically. */
+struct Conditions
+{
+    std::optional<CampaignSpec> campaign; ///< attached at site "G0"
+    std::vector<double> aFillProfile;     ///< empty = uniform
 };
 
 /**
- * Replay a seed-determined random op sequence on one array. The rng
- * draws are identical across modes, so two calls with the same seed see
- * the same geometry, rates, shapes, data, and op mix.
+ * Replay a seed-determined random op sequence on one array: a
+ * SystolicArray on the given engine, or the scalar-walk oracle. The rng
+ * draws are identical across engines, so two calls with the same seed
+ * see the same geometry, rates, shapes, data, and op mix.
  */
+template <typename Array = SystolicArray>
 SequenceResult
-runRandomSequence(FsimMode mode, std::uint64_t seed, bool ideal_rates)
+runRandomSequence(FsimMode mode, std::uint64_t seed, bool ideal_rates,
+                  const Conditions &conditions = {})
 {
     Rng rng(seed);
     const std::size_t dim = 4 + rng.below(13); // 4..16
@@ -81,8 +97,16 @@ runRandomSequence(FsimMode mode, std::uint64_t seed, bool ideal_rates)
     geom.hasExp = true; // exercise both LUT kinds on one array
     const double a_rate = ideal_rates ? 1e18 : rng.uniform(0.2, 2.5);
     const double b_rate = ideal_rates ? 1e18 : rng.uniform(0.2, 2.5);
-    SystolicArray array(geom, a_rate, b_rate);
-    array.setMode(mode);
+    Array array(geom, a_rate, b_rate);
+    if constexpr (std::is_same_v<Array, SystolicArray>)
+        array.setMode(mode);
+    if (!conditions.aFillProfile.empty())
+        array.aBuffer().setFillProfile(conditions.aFillProfile);
+    std::optional<FaultInjector> injector;
+    if (conditions.campaign) {
+        injector.emplace(*conditions.campaign);
+        array.setFaultInjector(&*injector, "G0");
+    }
 
     SequenceResult result;
     bool live = false;
@@ -142,6 +166,8 @@ runRandomSequence(FsimMode mode, std::uint64_t seed, bool ideal_rates)
     result.bStalls = array.bBuffer().stallCycles();
     result.aConsumed = array.aBuffer().consumed();
     result.bConsumed = array.bBuffer().consumed();
+    if (injector)
+        result.faultLog = injector->eventLogText();
     return result;
 }
 
@@ -168,6 +194,7 @@ expectSequencesAgree(const SequenceResult &fast,
     EXPECT_TRUE(std::memcmp(&fast.bOccupancy, &stepped.bOccupancy,
                             sizeof(double)) == 0)
         << fast.bOccupancy << " vs " << stepped.bOccupancy;
+    EXPECT_EQ(fast.faultLog, stepped.faultLog);
 }
 
 TEST(FastForward, MatchesSteppedOnRandomSequencesIdealSupply)
@@ -333,119 +360,227 @@ TEST(FastForwardFallback, NonUniformFillProfileForcesStepped)
     const Matrix a = randomMatrix(rng, 6, 9, 1.0f);
     const Matrix b = randomMatrix(rng, 9, 5, 1.0f);
 
+    // Bursty host: nothing on even fill ticks, two entries on odd. The
+    // profile no longer forces the stepped engine: the fast engine stays
+    // selected and must land on the stepped machine's cycles, bits and
+    // stalls.
     SystolicArray fast_array(ArrayGeometry::mType(8), 1.0, 1.0);
     fast_array.setMode(FsimMode::Fast);
-    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Fast);
-    // Bursty host: nothing on even fill ticks, two entries on odd.
     fast_array.aBuffer().setFillProfile({ 0.0, 2.0 });
-    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Stepped);
-
     SystolicArray stepped_array(ArrayGeometry::mType(8), 1.0, 1.0);
     stepped_array.setMode(FsimMode::Stepped);
     stepped_array.aBuffer().setFillProfile({ 0.0, 2.0 });
 
     EXPECT_EQ(fast_array.matmulTile(a, b),
               stepped_array.matmulTile(a, b));
+    EXPECT_EQ(fast_array.mode(), FsimMode::Fast);
     expectBitIdentical(fast_array.accumulators(),
                        stepped_array.accumulators(), "profile acc");
     EXPECT_EQ(fast_array.stallCycles(), stepped_array.stallCycles());
     EXPECT_GT(fast_array.stallCycles(), 0u);
 
-    // Restoring the uniform profile restores fast-forward eligibility.
+    // Restoring the uniform profile mid-run keeps the engines in step.
     fast_array.aBuffer().setFillProfile({});
-    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Fast);
-}
-
-TEST(FastForwardFallback, InjectorForcesSteppedWithUnchangedReplay)
-{
-    CampaignSpec spec;
-    spec.seed = 77;
-    spec.accFlipRate = 0.05;
-    FaultInjector fast_injector(spec);
-    FaultInjector stepped_injector(spec);
-
-    Rng rng(5);
-    SystolicArray fast_array(ArrayGeometry::mType(8));
-    fast_array.setMode(FsimMode::Fast);
-    fast_array.setFaultInjector(&fast_injector, "M0");
-    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Stepped);
-
-    // Validate would run both engines and advance the injector RNG
-    // twice, so it too must collapse to a single stepped run.
-    SystolicArray validate_array(ArrayGeometry::mType(8));
-    validate_array.setMode(FsimMode::Validate);
-    FaultInjector validate_injector(spec);
-    validate_array.setFaultInjector(&validate_injector, "M0");
-    EXPECT_EQ(validate_array.effectiveMode(), FsimMode::Stepped);
-
-    SystolicArray stepped_array(ArrayGeometry::mType(8));
-    stepped_array.setMode(FsimMode::Stepped);
-    stepped_array.setFaultInjector(&stepped_injector, "M0");
-
-    for (int tile = 0; tile < 3; ++tile) {
-        const Matrix a = randomMatrix(rng, 7, 6, 1.0f);
-        const Matrix b = randomMatrix(rng, 6, 8, 1.0f);
-        fast_array.matmulTile(a, b);
-        validate_array.matmulTile(a, b);
-        stepped_array.matmulTile(a, b);
-    }
-    // Bit-identical corruption and an identical deterministic log.
+    stepped_array.aBuffer().setFillProfile({});
+    EXPECT_EQ(fast_array.matmulTile(a, b),
+              stepped_array.matmulTile(a, b));
     expectBitIdentical(fast_array.accumulators(),
-                       stepped_array.accumulators(), "fault acc");
-    expectBitIdentical(validate_array.accumulators(),
-                       stepped_array.accumulators(), "fault acc (val)");
-    EXPECT_EQ(fast_injector.eventLogText(),
-              stepped_injector.eventLogText());
-    EXPECT_EQ(validate_injector.eventLogText(),
-              stepped_injector.eventLogText());
-    EXPECT_FALSE(fast_injector.events().empty());
-
-    // Detaching the injector restores the requested engine.
-    fast_array.setFaultInjector(nullptr, "");
-    EXPECT_EQ(fast_array.effectiveMode(), FsimMode::Fast);
+                       stepped_array.accumulators(), "uniform acc");
+    EXPECT_EQ(fast_array.stallCycles(), stepped_array.stallCycles());
 }
 
-TEST(FastForwardFallback, AbftRunsSteppedWithUnchangedDetection)
-{
-    CampaignSpec spec;
-    spec.seed = 123;
-    spec.accFlipRate = 0.01;
-    FaultInjector fast_injector(spec);
-    FaultInjector stepped_injector(spec);
+constexpr FsimMode kEngines[] = { FsimMode::Fast, FsimMode::Stepped,
+                                  FsimMode::Validate };
 
+/**
+ * Random op sequences (seeds lo..hi) under `conditions`: fast, stepped
+ * and validate must each leave exactly the scalar-walk oracle's state —
+ * drains, accumulators, counters, buffer state and fault log. Returns
+ * the oracle's results.
+ */
+std::vector<SequenceResult>
+expectEnginesMatchOracle(std::uint64_t lo, std::uint64_t hi,
+                         bool ideal_rates, const Conditions &conditions)
+{
+    std::vector<SequenceResult> oracles;
+    for (std::uint64_t seed = lo; seed <= hi; ++seed) {
+        SCOPED_TRACE(seed);
+        oracles.push_back(runRandomSequence<ScalarWalkArray>(
+            FsimMode::Stepped, seed, ideal_rates, conditions));
+        for (const FsimMode mode : kEngines) {
+            SCOPED_TRACE(toString(mode));
+            expectSequencesAgree(
+                runRandomSequence(mode, seed, ideal_rates, conditions),
+                oracles.back());
+        }
+    }
+    return oracles;
+}
+
+TEST(EngineEquivalence, NonUniformFillProfileMatchesOnEveryEngine)
+{
+    // Bursty host: nothing on even fill ticks, two entries on odd. The
+    // fast engine replays the gate recurrence tick by tick, reading the
+    // profile exactly like the stepped machine.
+    Rng rng(3);
+    const Matrix a = randomMatrix(rng, 6, 9, 1.0f);
+    const Matrix b = randomMatrix(rng, 9, 5, 1.0f);
+    ScalarWalkArray oracle(ArrayGeometry::mType(8), 1.0, 1.0);
+    oracle.aBuffer().setFillProfile({ 0.0, 2.0 });
+    const std::uint64_t want = oracle.matmulTile(a, b);
+    EXPECT_GT(oracle.stallCycles(), 0u);
+    for (const FsimMode mode : kEngines) {
+        SCOPED_TRACE(toString(mode));
+        SystolicArray array(ArrayGeometry::mType(8), 1.0, 1.0);
+        array.setMode(mode);
+        array.aBuffer().setFillProfile({ 0.0, 2.0 });
+        EXPECT_EQ(array.matmulTile(a, b), want);
+        expectBitIdentical(array.accumulators(), oracle.accumulators(),
+                           "profile acc");
+        EXPECT_EQ(array.stallCycles(), oracle.stallCycles());
+        EXPECT_EQ(array.aBuffer().fillTicks(),
+                  oracle.aBuffer().fillTicks());
+    }
+
+    // Whole op sequences, SIMD vector passes included (they stream
+    // through the profiled west-edge buffer too).
+    Conditions bursty;
+    bursty.aFillProfile = { 0.0, 2.0 };
+    expectEnginesMatchOracle(300, 305, false, bursty);
+    Conditions uneven;
+    uneven.aFillProfile = { 1.5, 0.0, 0.25, 0.5 };
+    expectEnginesMatchOracle(310, 315, true, uneven);
+}
+
+TEST(EngineEquivalence, InjectorReplayMatchesOnEveryEngine)
+{
+    // Transient flips plus a stuck bit at the array's own site: the
+    // injector corrupts each tile once, after whichever engine computed
+    // it, so every engine draws the identical RNG sequence and the SIMD
+    // passes and drains see identical corrupted cells.
+    Conditions faulty;
+    faulty.campaign.emplace();
+    faulty.campaign->seed = 77;
+    faulty.campaign->accFlipRate = 0.02;
+    StuckBitFault stuck;
+    stuck.site = "G0";
+    stuck.row = 1;
+    stuck.col = 2;
+    stuck.bit = 29;
+    stuck.stuckHigh = true;
+    faulty.campaign->stuckBits.push_back(stuck);
+
+    bool logged = false;
+    for (const SequenceResult &oracle :
+         expectEnginesMatchOracle(400, 407, true, faulty))
+        logged = logged || !oracle.faultLog.empty();
+    EXPECT_TRUE(logged);
+
+    // The same campaign under supply-limited streams and a bursty
+    // profile: faults, stalls and fill profiles compose.
+    faulty.aFillProfile = { 0.0, 2.0 };
+    expectEnginesMatchOracle(410, 413, false, faulty);
+}
+
+/** Everything a FunctionalSimulator run exposes. */
+struct SimRun
+{
+    std::vector<Matrix> outputs;
+    AbftStats abft;
+    std::string faultLog;
+    std::uint64_t matmulCycles = 0;
+    std::uint64_t simdCycles = 0;
+    std::uint64_t macCount = 0;
+    std::uint64_t stallCycles = 0;
+    std::uint64_t aStalls = 0;
+    std::uint64_t aFillTicks = 0;
+};
+
+SimRun
+runAbftDataflows(FsimMode mode, const CampaignSpec &spec)
+{
     Rng rng(9);
     const Matrix a = randomMatrix(rng, 40, 24, 1.0f);
     const Matrix b = randomMatrix(rng, 24, 36, 1.0f);
+    const Matrix residual = randomMatrix(rng, 40, 36, 1.0f);
+    const Matrix bias = randomMatrix(rng, 1, 36, 1.0f);
+    std::vector<Matrix> q, k, v;
+    for (int batch = 0; batch < 2; ++batch) {
+        q.push_back(randomMatrix(rng, 20, 16, 1.0f));
+        k.push_back(randomMatrix(rng, 20, 16, 1.0f));
+        v.push_back(randomMatrix(rng, 20, 16, 1.0f));
+    }
 
     AbftOptions abft;
     abft.enabled = true;
     abft.correct = true;
+    FaultInjector injector(spec);
+    FunctionalSimulator sim;
+    sim.setMode(mode);
+    sim.setAbft(abft);
+    sim.setFaultInjector(&injector);
+    sim.mArray().aBuffer().setFillProfile({ 0.0, 2.0 });
 
-    FunctionalSimulator fast_sim;
-    fast_sim.setMode(FsimMode::Fast);
-    fast_sim.setAbft(abft);
-    fast_sim.setFaultInjector(&fast_injector);
-    // ABFT observes accumulators mid-dataflow: the whole simulator
-    // falls back to the stepped engine.
-    EXPECT_EQ(fast_sim.mArray().mode(), FsimMode::Stepped);
+    SimRun run;
+    run.outputs.push_back(sim.dataflow1(a, b, 0.5f, &residual));
+    run.outputs.push_back(sim.dataflow2(a, b, 1.0f, &bias));
+    for (Matrix &context : sim.dataflow3(q, k, v, 0.25f))
+        run.outputs.push_back(std::move(context));
+    run.abft = sim.abftStats();
+    run.faultLog = injector.eventLogText();
+    run.matmulCycles = sim.matmulCycles();
+    run.simdCycles = sim.simdCycles();
+    run.macCount = sim.macCount();
+    run.stallCycles = sim.mArray().stallCycles();
+    run.aStalls = sim.mArray().aBuffer().stallCycles();
+    run.aFillTicks = sim.mArray().aBuffer().fillTicks();
+    return run;
+}
 
-    FunctionalSimulator stepped_sim;
-    stepped_sim.setMode(FsimMode::Stepped);
-    stepped_sim.setAbft(abft);
-    stepped_sim.setFaultInjector(&stepped_injector);
+TEST(EngineEquivalence, AbftDetectionMatchesOnEveryEngine)
+{
+    // The checker reads each tile's accumulators after matmulTile,
+    // which leaves the same (corrupted) bits on every engine, so
+    // detection, location, repair and everything downstream of it must
+    // not depend on the engine.
+    CampaignSpec spec;
+    spec.seed = 123;
+    spec.accFlipRate = 0.01;
+    StuckBitFault stuck;
+    stuck.site = "M0";
+    stuck.row = 3;
+    stuck.col = 5;
+    stuck.bit = 30;
+    stuck.stuckHigh = true;
+    spec.stuckBits.push_back(stuck);
 
-    expectBitIdentical(fast_sim.dataflow1(a, b, 1.0f, nullptr),
-                       stepped_sim.dataflow1(a, b, 1.0f, nullptr),
-                       "abft dataflow1");
-    const AbftStats &fs = fast_sim.abftStats();
-    const AbftStats &ss = stepped_sim.abftStats();
-    EXPECT_EQ(fs.tilesChecked, ss.tilesChecked);
-    EXPECT_EQ(fs.tilesFlagged, ss.tilesFlagged);
-    EXPECT_EQ(fs.locatedElements, ss.locatedElements);
-    EXPECT_EQ(fs.correctedElements, ss.correctedElements);
-    EXPECT_GT(fs.tilesFlagged, 0u);
-    EXPECT_EQ(fast_injector.eventLogText(),
-              stepped_injector.eventLogText());
+    const SimRun want = runAbftDataflows(FsimMode::Stepped, spec);
+    EXPECT_GT(want.abft.tilesFlagged, 0u);
+    EXPECT_GT(want.abft.correctedElements, 0u);
+    EXPECT_GT(want.stallCycles, 0u);
+    for (const FsimMode mode : { FsimMode::Fast, FsimMode::Validate }) {
+        SCOPED_TRACE(toString(mode));
+        const SimRun got = runAbftDataflows(mode, spec);
+        ASSERT_EQ(got.outputs.size(), want.outputs.size());
+        for (std::size_t i = 0; i < got.outputs.size(); ++i)
+            expectBitIdentical(got.outputs[i], want.outputs[i],
+                               "abft dataflow output");
+        EXPECT_EQ(got.faultLog, want.faultLog);
+        EXPECT_EQ(got.abft.tilesChecked, want.abft.tilesChecked);
+        EXPECT_EQ(got.abft.tilesFlagged, want.abft.tilesFlagged);
+        EXPECT_EQ(got.abft.locatedElements, want.abft.locatedElements);
+        EXPECT_EQ(got.abft.ambiguousElements,
+                  want.abft.ambiguousElements);
+        EXPECT_EQ(got.abft.correctedElements,
+                  want.abft.correctedElements);
+        EXPECT_EQ(got.abft.unlocatedTiles, want.abft.unlocatedTiles);
+        EXPECT_EQ(got.matmulCycles, want.matmulCycles);
+        EXPECT_EQ(got.simdCycles, want.simdCycles);
+        EXPECT_EQ(got.macCount, want.macCount);
+        EXPECT_EQ(got.stallCycles, want.stallCycles);
+        EXPECT_EQ(got.aStalls, want.aStalls);
+        EXPECT_EQ(got.aFillTicks, want.aFillTicks);
+    }
 }
 
 TEST(FsimModeTest, ParseAndToStringRoundTrip)
