@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 
 #include "common/logging.hh"
 #include "kernel_tiers.hh"
@@ -129,18 +130,41 @@ activeKernelSlot()
     return slot;
 }
 
+/** The one spelling of each tier's name. */
+struct TierName
+{
+    SimdTier tier;
+    const char *name;
+};
+
+constexpr TierName kTierNames[] = {
+    { SimdTier::Scalar, "scalar" },
+    { SimdTier::Avx2, "avx2" },
+    { SimdTier::Avx512, "avx512" },
+};
+
+/** Strict lookup: "auto" resolves to bestSimdTier(), an unknown name to
+ *  nullopt. */
+std::optional<SimdTier>
+lookupSimdTier(const std::string &name)
+{
+    if (name == "auto")
+        return bestSimdTier();
+    for (const TierName &entry : kTierNames) {
+        if (name == entry.name)
+            return entry.tier;
+    }
+    return std::nullopt;
+}
+
 } // namespace
 
 const char *
 toString(SimdTier tier)
 {
-    switch (tier) {
-      case SimdTier::Scalar:
-        return "scalar";
-      case SimdTier::Avx2:
-        return "avx2";
-      case SimdTier::Avx512:
-        return "avx512";
+    for (const TierName &entry : kTierNames) {
+        if (entry.tier == tier)
+            return entry.name;
     }
     return "?";
 }
@@ -148,14 +172,8 @@ toString(SimdTier tier)
 SimdTier
 parseSimdTier(const std::string &name)
 {
-    if (name == "auto")
-        return bestSimdTier();
-    if (name == "scalar")
-        return SimdTier::Scalar;
-    if (name == "avx2")
-        return SimdTier::Avx2;
-    if (name == "avx512")
-        return SimdTier::Avx512;
+    if (const std::optional<SimdTier> tier = lookupSimdTier(name))
+        return *tier;
     fatal("unknown SIMD tier \"", name,
           "\"; expected auto, scalar, avx2, or avx512");
 }
@@ -166,27 +184,19 @@ simdTierFromSpec(const char *spec)
     if (!spec || !*spec)
         return bestSimdTier();
     const std::string s = spec;
-    SimdTier tier;
-    if (s == "auto") {
-        return bestSimdTier();
-    } else if (s == "scalar") {
-        tier = SimdTier::Scalar;
-    } else if (s == "avx2") {
-        tier = SimdTier::Avx2;
-    } else if (s == "avx512") {
-        tier = SimdTier::Avx512;
-    } else {
+    const std::optional<SimdTier> tier = lookupSimdTier(s);
+    if (!tier) {
         warn("ignoring invalid PROSE_SIMD=\"", s,
              "\"; using auto (expected auto, scalar, avx2, or avx512)");
         return bestSimdTier();
     }
-    if (!simdTierAvailable(tier)) {
+    if (!simdTierAvailable(*tier)) {
         const SimdTier best = bestSimdTier();
         warn("PROSE_SIMD=", s, " not available on this build/CPU; ",
              "falling back to ", toString(best));
         return best;
     }
-    return tier;
+    return *tier;
 }
 
 bool
@@ -289,15 +299,6 @@ setActiveSimdTier(SimdTier tier)
 {
     activeKernelSlot().store(&kernelsForTier(tier),
                              std::memory_order_release);
-}
-
-std::string
-describeSimdSupport()
-{
-    std::string out = toString(activeSimdTier());
-    if (activeSimdTier() == SimdTier::Avx512 && avx512Bf16InUse())
-        out += " (bf16)";
-    return out;
 }
 
 } // namespace prose::kernels

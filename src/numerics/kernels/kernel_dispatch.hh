@@ -3,13 +3,23 @@
  * Runtime-dispatched SIMD kernel layer for the numerics/fsim hot loops.
  *
  * A KernelSet is a table of function pointers covering the inner loops
- * that dominate the profile: the fp32 MAC-row update behind the tiled
- * matmul, the bf16 GEMM microkernel behind the fast-forward systolic
- * engine and the cached-weight model path, the bf16<->fp32 conversion
- * sweeps, and the per-row SIMD-unit/softmax epilogues. Three tiers are
- * provided — scalar (the reference), AVX2, and AVX-512 (which picks up
- * the AVX512-BF16 convert instruction when the CPU has it) — selected
- * once at startup by CPUID and overridable with PROSE_SIMD.
+ * that dominate the profile: the register-blocked fp32 GEMM tile behind
+ * the tiled matmul, its bf16 twin behind the fast-forward systolic
+ * engine and the cached-weight model path, the wavefront MAC row of the
+ * diagonal-batched engine, the bf16<->fp32 conversion sweeps, and the
+ * per-row SIMD-unit/softmax epilogues. Three tiers are provided —
+ * scalar (the reference), AVX2, and AVX-512 (which picks up the
+ * AVX512-BF16 convert instruction when the CPU has it) — selected once
+ * at startup by CPUID and overridable with PROSE_SIMD.
+ *
+ * The two vector tiers share one implementation: every kernel body is
+ * written once in simd_kernels.hh as a template over a small
+ * vector-traits type, and kernels_avx2.cc / kernels_avx512.cc supply
+ * only their traits (8 or 16 fp32 lanes, loads/stores, bf16
+ * widen/narrow, gather, masks) and their GEMM register block — 6 rows
+ * x 2 vectors (16 columns) for AVX2's 16 ymm registers, 6 x 4 (64
+ * columns) for AVX-512's 32 zmm registers. Tails follow one rule in
+ * both: full vectors, then ONE masked chunk, never a scalar loop.
  *
  * Bit-exactness contract (non-negotiable): every tier produces results
  * bit-identical to the scalar reference for every input, including
@@ -58,14 +68,6 @@ struct KernelSet
 {
     /** Tier name for logs ("scalar", "avx2", ...). */
     const char *name;
-
-    /** c[j] += av * b[j] — fp32 MAC-row, product and sum each rounded
-     *  (no FMA). */
-    void (*macRowF32)(float *c, const float *b, float av, std::size_t n);
-
-    /** acc[j] += av * widen(b[j]) — MAC-row against a bf16-bits row. */
-    void (*macRowBf16)(float *acc, const std::uint16_t *b, float av,
-                       std::size_t n);
 
     /**
      * c[j] += a[j] * b[j] — elementwise MAC-row, product and sum each
@@ -214,9 +216,6 @@ SimdTier activeSimdTier();
  * mid-parallel-region is a race on the dispatch pointer.
  */
 void setActiveSimdTier(SimdTier tier);
-
-/** One-line human summary, e.g. "avx512 (bf16)" — for startup logs. */
-std::string describeSimdSupport();
 
 } // namespace prose::kernels
 

@@ -1,23 +1,25 @@
 /**
  * @file
- * AVX-512 kernel tier (F+BW+DQ+VL). Compiled with its own -m flags and
- * -ffp-contract=off, never -mfma — see kernels_avx2.cc for why fused
- * contraction is forbidden.
+ * AVX-512 kernel tier (F+BW+DQ+VL): the vector traits the shared
+ * kernel bodies in simd_kernels.hh are instantiated with, 16 fp32
+ * lanes wide. Compiled with its own -m flags and -ffp-contract=off,
+ * never -mfma — see kernels_avx2.cc for why fused contraction is
+ * forbidden.
  *
- * Everything is masked, so there are no scalar tails: a row of any
- * length runs the same vector code path with a partial mask on the last
- * chunk (masked loads/stores fault-suppress the dead lanes). The bf16
- * conversions are the same integer RNE emulation as the scalar
- * reference, 16 lanes wide.
+ * Every lane width has a native mask here and a masked op costs what
+ * the unmasked one does, so every op takes an opmask: all-ones for a
+ * whole chunk, a partial one for the tail (masked loads/stores
+ * fault-suppress the dead lanes).
+ *
+ * The AVX512-BF16 hardware convert lives in kernels_avx512bf16.cc and
+ * is spliced into this table by the dispatcher.
  */
 
 #include "kernel_tiers.hh"
 
 #include <immintrin.h>
 
-#include <vector>
-
-#include "numerics/bfloat16.hh"
+#include "simd_kernels.hh"
 
 // GCC PR105593: _mm512_srli_epi32's merge-source is the "undefined"
 // self-init idiom (__m512i __Y = __Y) and trips -Wmaybe-uninitialized
@@ -29,533 +31,87 @@ namespace prose::kernels {
 
 namespace {
 
-inline float
-widenBits(std::uint16_t bits)
+struct Avx512
 {
-    return Bfloat16::fromBits(bits).toFloat();
-}
+    static constexpr std::size_t kLanes = 16;
+    // 6 rows x 4 vectors: 24 accumulators + 4 B vectors + 1 broadcast
+    // of the 32 zmm registers.
+    static constexpr int kBlockRows = 6;
+    static constexpr int kBlockVecs = 4;
 
-/** Mask with the low `live` of 16 lanes set (live <= 16). */
-inline __mmask16
-headMask(std::size_t live)
-{
-    return static_cast<__mmask16>((1u << live) - 1u);
-}
+    using F = __m512;
+    using I = __m512i;
+    using Mask = __mmask16;
 
-inline __m512i
-hiMask()
-{
-    return _mm512_set1_epi32(static_cast<std::int32_t>(0xffff0000u));
-}
-
-/** Lanes holding NaNs. */
-inline __mmask16
-nanLanes(__m512i bits)
-{
-    return _mm512_cmpgt_epi32_mask(
-        _mm512_and_si512(bits, _mm512_set1_epi32(0x7fffffff)),
-        _mm512_set1_epi32(0x7f800000));
-}
-
-/** `bits + 0x7fff + ((bits >> 16) & 1)` — the RNE bias add. */
-inline __m512i
-rneRounded(__m512i bits)
-{
-    const __m512i lsb = _mm512_and_si512(_mm512_srli_epi32(bits, 16),
-                                         _mm512_set1_epi32(1));
-    return _mm512_add_epi32(
-        bits, _mm512_add_epi32(lsb, _mm512_set1_epi32(0x7fff)));
-}
-
-/** quantizeBf16 round trip on fp32 bits, 16 lanes. */
-inline __m512i
-quantRoundtripBits(__m512i bits)
-{
-    const __m512i normal = _mm512_and_si512(rneRounded(bits), hiMask());
-    const __m512i nan =
-        _mm512_or_si512(_mm512_and_si512(bits, hiMask()),
-                        _mm512_set1_epi32(0x00400000));
-    return _mm512_mask_mov_epi32(normal, nanLanes(bits), nan);
-}
-
-inline __m512
-quantRoundtrip(__m512 v)
-{
-    return _mm512_castsi512_ps(
-        quantRoundtripBits(_mm512_castps_si512(v)));
-}
-
-/** fp32 -> bf16 bit pattern in the low 16 bits of each epi32 lane. */
-inline __m512i
-quantBits16(__m512i bits)
-{
-    const __m512i normal = _mm512_srli_epi32(rneRounded(bits), 16);
-    const __m512i nan = _mm512_or_si512(_mm512_srli_epi32(bits, 16),
-                                        _mm512_set1_epi32(0x0040));
-    return _mm512_mask_mov_epi32(normal, nanLanes(bits), nan);
-}
-
-/** Widen 16 (masked) bf16 bit patterns to fp32; dead lanes are 0. */
-inline __m512
-widen16(const std::uint16_t *src, __mmask16 m)
-{
-    const __m256i raw = _mm256_maskz_loadu_epi16(
-        m, reinterpret_cast<const __m256i *>(src));
-    return _mm512_castsi512_ps(
-        _mm512_slli_epi32(_mm512_cvtepu16_epi32(raw), 16));
-}
-
-inline __m512
-truncate16(__m512 v)
-{
-    return _mm512_castsi512_ps(
-        _mm512_and_si512(_mm512_castps_si512(v), hiMask()));
-}
-
-void
-macRowF32Avx512(float *c, const float *b, float av, std::size_t n)
-{
-    const __m512 avv = _mm512_set1_ps(av);
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-        const __m512 prod = _mm512_mul_ps(avv, _mm512_loadu_ps(b + j));
-        _mm512_storeu_ps(c + j,
-                         _mm512_add_ps(_mm512_loadu_ps(c + j), prod));
+    /** Mask with the low `live` of 16 lanes set (live <= 16). */
+    static Mask
+    headMask(std::size_t live)
+    {
+        return static_cast<Mask>((1u << live) - 1u);
     }
-    if (j < n) {
-        const __mmask16 m = headMask(n - j);
-        const __m512 prod =
-            _mm512_mul_ps(avv, _mm512_maskz_loadu_ps(m, b + j));
-        const __m512 sum =
-            _mm512_add_ps(_mm512_maskz_loadu_ps(m, c + j), prod);
-        _mm512_mask_storeu_ps(c + j, m, sum);
+
+    static Mask full() { return 0xffff; }
+
+    static F
+    load(const float *p, Mask m)
+    {
+        return _mm512_maskz_loadu_ps(m, p);
     }
-}
+    static void store(float *p, F v, Mask m) { _mm512_mask_storeu_ps(p, m, v); }
 
-void
-mulAccRowF32Avx512(float *c, const float *a, const float *b,
-                   std::size_t n)
-{
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-        const __m512 prod = _mm512_mul_ps(_mm512_loadu_ps(a + j),
-                                          _mm512_loadu_ps(b + j));
-        _mm512_storeu_ps(c + j,
-                         _mm512_add_ps(_mm512_loadu_ps(c + j), prod));
+    static F set1(float x) { return _mm512_set1_ps(x); }
+    static F zero() { return _mm512_setzero_ps(); }
+    static F mul(F a, F b) { return _mm512_mul_ps(a, b); }
+    static F add(F a, F b) { return _mm512_add_ps(a, b); }
+
+    static I bits(F v) { return _mm512_castps_si512(v); }
+    static F fromBits(I v) { return _mm512_castsi512_ps(v); }
+    static I
+    set1i(std::uint32_t x)
+    {
+        return _mm512_set1_epi32(static_cast<std::int32_t>(x));
     }
-    if (j < n) {
-        const __mmask16 m = headMask(n - j);
-        const __m512 prod =
-            _mm512_mul_ps(_mm512_maskz_loadu_ps(m, a + j),
-                          _mm512_maskz_loadu_ps(m, b + j));
-        const __m512 sum =
-            _mm512_add_ps(_mm512_maskz_loadu_ps(m, c + j), prod);
-        _mm512_mask_storeu_ps(c + j, m, sum);
+    static I andi(I a, I b) { return _mm512_and_si512(a, b); }
+    static I ori(I a, I b) { return _mm512_or_si512(a, b); }
+    static I addi(I a, I b) { return _mm512_add_epi32(a, b); }
+    static I shr16(I v) { return _mm512_srli_epi32(v, 16); }
+
+    static I
+    selectNan(I bits, I normal, I nan)
+    {
+        const Mask is_nan = _mm512_cmpgt_epi32_mask(
+            _mm512_and_si512(bits, set1i(0x7fffffff)), set1i(0x7f800000));
+        return _mm512_mask_mov_epi32(normal, is_nan, nan);
     }
-}
 
-void
-macRowBf16Avx512(float *acc, const std::uint16_t *b, float av,
-                 std::size_t n)
-{
-    const __m512 avv = _mm512_set1_ps(av);
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-        const __m512 prod =
-            _mm512_mul_ps(avv, widen16(b + j, 0xffff));
-        _mm512_storeu_ps(
-            acc + j, _mm512_add_ps(_mm512_loadu_ps(acc + j), prod));
+    static F
+    widen(const std::uint16_t *p, Mask m)
+    {
+        const __m256i raw = _mm256_maskz_loadu_epi16(m, p);
+        return _mm512_castsi512_ps(
+            _mm512_slli_epi32(_mm512_cvtepu16_epi32(raw), 16));
     }
-    if (j < n) {
-        const __mmask16 m = headMask(n - j);
-        const __m512 prod = _mm512_mul_ps(avv, widen16(b + j, m));
-        const __m512 sum =
-            _mm512_add_ps(_mm512_maskz_loadu_ps(m, acc + j), prod);
-        _mm512_mask_storeu_ps(acc + j, m, sum);
+
+    static void
+    narrow(std::uint16_t *p, I lanes, Mask m)
+    {
+        _mm256_mask_storeu_epi16(p, m, _mm512_cvtepi32_epi16(lanes));
     }
-}
 
-void widenRowAvx512(float *dst, const std::uint16_t *src, std::size_t n);
-
-/** Every (row, column-vector) cell of the largest block shape; OP is
- *  applied to the literal pair so each accumulator is a distinct named
- *  local (see gemmRowBlockF32Avx512 for why it cannot be an array). */
-#define PROSE_GEMM_CELLS(OP)                                            \
-    OP(0, 0) OP(0, 1) OP(0, 2) OP(0, 3)                                 \
-    OP(1, 0) OP(1, 1) OP(1, 2) OP(1, 3)                                 \
-    OP(2, 0) OP(2, 1) OP(2, 2) OP(2, 3)                                 \
-    OP(3, 0) OP(3, 1) OP(3, 2) OP(3, 3)                                 \
-    OP(4, 0) OP(4, 1) OP(4, 2) OP(4, 3)                                 \
-    OP(5, 0) OP(5, 1) OP(5, 2) OP(5, 3)
-
-#define PROSE_GEMM_COLS(OP) OP(0) OP(1) OP(2) OP(3)
-
-/**
- * One R-row x (NV * 16)-column block of the fp32 GEMM core, both
- * extents known at compile time so the loops fully unroll. The
- * accumulators are macro-expanded NAMED locals, not a local
- * __m512[R][NV] array: GCC never fully scalarizes the array (even
- * under a raised --param=sra-max-scalarization-size-Ospeed), so it
- * kept the array's stack home live and re-stored every accumulator on
- * every k iteration — 12+ dead 64-byte stores per iteration
- * saturating the single 512-bit store port, ~2.3x slower than the
- * named form. With named locals the dead cells (guarded out by
- * `if constexpr`) vanish and the live ones provably stay in
- * registers across the whole k loop. The A broadcasts come straight
- * from memory (vbroadcastss, no port-5 shuffle); the largest shape,
- * R = 6 x NV = 4, uses 24 accumulator + 4 B + 1 broadcast registers
- * of the 32-register file. Each accumulator lane sees its fp32 ops in
- * exactly the scalar ascending-k order; dead lanes of the last chunk
- * accumulate garbage that the masked store discards.
- */
-template <int R, int NV>
-inline void
-gemmRowBlockF32Avx512(float *cj, std::size_t accStride,
-                      const float *a, std::size_t aStride,
-                      const float *bj, std::size_t bStride,
-                      std::size_t depth, const __mmask16 *masks)
-{
-#define PROSE_GEMM_DECL(r, v)                                           \
-    __m512 c##r##v = _mm512_setzero_ps();                               \
-    (void)c##r##v;
-    PROSE_GEMM_CELLS(PROSE_GEMM_DECL)
-#undef PROSE_GEMM_DECL
-#define PROSE_GEMM_LOAD(r, v)                                           \
-    if constexpr (r < R && v < NV)                                      \
-        c##r##v = _mm512_maskz_loadu_ps(masks[v],                       \
-                                        cj + r * accStride + v * 16);
-    PROSE_GEMM_CELLS(PROSE_GEMM_LOAD)
-#undef PROSE_GEMM_LOAD
-    for (std::size_t k = 0; k < depth; ++k) {
-        const float *brow = bj + k * bStride;
-#define PROSE_GEMM_BLOAD(v)                                             \
-        __m512 b##v = _mm512_setzero_ps();                              \
-        (void)b##v;                                                     \
-        if constexpr (v < NV)                                           \
-            b##v = _mm512_maskz_loadu_ps(masks[v], brow + v * 16);
-        PROSE_GEMM_COLS(PROSE_GEMM_BLOAD)
-#undef PROSE_GEMM_BLOAD
-#define PROSE_GEMM_MAC(r, v)                                            \
-        if constexpr (r < R && v < NV)                                  \
-            c##r##v = _mm512_add_ps(                                    \
-                c##r##v,                                                \
-                _mm512_mul_ps(_mm512_set1_ps(a[r * aStride + k]),       \
-                              b##v));
-        PROSE_GEMM_CELLS(PROSE_GEMM_MAC)
-#undef PROSE_GEMM_MAC
+    static I
+    gather(const std::uint32_t *table, I idx, Mask m)
+    {
+        return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m, idx,
+                                           table, 4);
     }
-#define PROSE_GEMM_STORE(r, v)                                          \
-    if constexpr (r < R && v < NV)                                      \
-        _mm512_mask_storeu_ps(cj + r * accStride + v * 16, masks[v],    \
-                              c##r##v);
-    PROSE_GEMM_CELLS(PROSE_GEMM_STORE)
-#undef PROSE_GEMM_STORE
-}
-
-#undef PROSE_GEMM_CELLS
-#undef PROSE_GEMM_COLS
-
-/** Dispatch the compile-time column count for an R-row block. */
-template <int R>
-inline void
-gemmRowBlockDispatchF32Avx512(float *cj, std::size_t accStride,
-                              const float *a, std::size_t aStride,
-                              const float *bj, std::size_t bStride,
-                              std::size_t depth, std::size_t nvec,
-                              const __mmask16 *masks)
-{
-    switch (nvec) {
-      case 1:
-        gemmRowBlockF32Avx512<R, 1>(cj, accStride, a, aStride, bj,
-                                    bStride, depth, masks);
-        break;
-      case 2:
-        gemmRowBlockF32Avx512<R, 2>(cj, accStride, a, aStride, bj,
-                                    bStride, depth, masks);
-        break;
-      case 3:
-        gemmRowBlockF32Avx512<R, 3>(cj, accStride, a, aStride, bj,
-                                    bStride, depth, masks);
-        break;
-      default:
-        gemmRowBlockF32Avx512<R, 4>(cj, accStride, a, aStride, bj,
-                                    bStride, depth, masks);
-        break;
-    }
-}
-
-/** The shared fp32 GEMM core behind both tile kernels (the bf16 tier
- *  funnels here after exact operand widening into scratch). Full
- *  6-row groups take the widest block; the final 1..5-row remainder
- *  gets its own register-blocked instantiation instead of a slow
- *  row-at-a-time path, which matters for the 16-row E-array tiles. */
-inline void
-gemmRowsF32Avx512(float *acc, std::size_t accStride, const float *a,
-                  std::size_t aStride, const float *b,
-                  std::size_t bStride, std::size_t rows,
-                  std::size_t cols, std::size_t depth)
-{
-    for (std::size_t jb = 0; jb < cols; jb += 64) {
-        const std::size_t live = std::min<std::size_t>(64, cols - jb);
-        const std::size_t nvec = (live + 15) / 16;
-        __mmask16 masks[4] = { 0, 0, 0, 0 };
-        for (std::size_t v = 0; v < nvec; ++v)
-            masks[v] = headMask(std::min<std::size_t>(16, live - v * 16));
-
-        const float *bj = b + jb;
-        std::size_t i = 0;
-        for (; i + 6 <= rows; i += 6)
-            gemmRowBlockDispatchF32Avx512<6>(
-                acc + i * accStride + jb, accStride, a + i * aStride,
-                aStride, bj, bStride, depth, nvec, masks);
-        float *cj = acc + i * accStride + jb;
-        const float *aj = a + i * aStride;
-        switch (rows - i) {
-          case 1:
-            gemmRowBlockDispatchF32Avx512<1>(cj, accStride, aj, aStride,
-                                             bj, bStride, depth, nvec,
-                                             masks);
-            break;
-          case 2:
-            gemmRowBlockDispatchF32Avx512<2>(cj, accStride, aj, aStride,
-                                             bj, bStride, depth, nvec,
-                                             masks);
-            break;
-          case 3:
-            gemmRowBlockDispatchF32Avx512<3>(cj, accStride, aj, aStride,
-                                             bj, bStride, depth, nvec,
-                                             masks);
-            break;
-          case 4:
-            gemmRowBlockDispatchF32Avx512<4>(cj, accStride, aj, aStride,
-                                             bj, bStride, depth, nvec,
-                                             masks);
-            break;
-          case 5:
-            gemmRowBlockDispatchF32Avx512<5>(cj, accStride, aj, aStride,
-                                             bj, bStride, depth, nvec,
-                                             masks);
-            break;
-          default:
-            break;
-        }
-    }
-}
-
-void
-gemmTileF32Avx512(float *acc, std::size_t accStride, const float *a,
-                  std::size_t aStride, const float *b,
-                  std::size_t bStride, std::size_t rows,
-                  std::size_t cols, std::size_t depth)
-{
-    gemmRowsF32Avx512(acc, accStride, a, aStride, b, bStride, rows,
-                      cols, depth);
-}
-
-void
-gemmTileBf16Avx512(float *acc, std::size_t accStride,
-                   const std::uint16_t *a, std::size_t aStride,
-                   const std::uint16_t *b, std::size_t bStride,
-                   std::size_t rows, std::size_t cols, std::size_t depth)
-{
-    // Widen both operands to fp32 scratch once, then run the shared
-    // register-blocked fp32 core. Widening is exact (bits << 16), so
-    // the arithmetic — and each accumulator's ascending-k op order —
-    // is identical to widening inline; hoisting it out of the row
-    // blocks removes the per-block repeat of the conversion work and
-    // the scalar widen feeding every A broadcast, which together
-    // dominate the inline formulation. Thread-local scratch: no
-    // allocation churn after warmup, no sharing between pool lanes.
-    static thread_local std::vector<float> a_scratch;
-    static thread_local std::vector<float> b_scratch;
-    a_scratch.resize(rows * depth);
-    for (std::size_t i = 0; i < rows; ++i)
-        widenRowAvx512(a_scratch.data() + i * depth, a + i * aStride,
-                       depth);
-    // Block the depth so the widened B panel (kKB * live * 4 B = 32 KiB)
-    // stays L1-resident across its per-6-row-group re-reads; deep
-    // tiles (e.g. 64x64x3072 FFN-down) would otherwise stream a 768 KiB
-    // panel from L2/L3 once per row group. The extra C-tile round trips
-    // per k-block are amortized over the whole panel. Ascending kb +
-    // ascending k inside the core keeps the per-element fp32 order
-    // exactly scalar.
-    for (std::size_t jb = 0; jb < cols; jb += 64) {
-        const std::size_t live = std::min<std::size_t>(64, cols - jb);
-        const std::size_t kKB = (32 * 1024 / sizeof(float)) / live;
-        b_scratch.resize(std::min(kKB, depth) * live);
-        for (std::size_t kb = 0; kb < depth; kb += kKB) {
-            const std::size_t kd = std::min(kKB, depth - kb);
-            for (std::size_t k = 0; k < kd; ++k)
-                widenRowAvx512(b_scratch.data() + k * live,
-                               b + (kb + k) * bStride + jb, live);
-            gemmRowsF32Avx512(acc + jb, accStride,
-                              a_scratch.data() + kb, depth,
-                              b_scratch.data(), live, rows, live, kd);
-        }
-    }
-}
-
-void
-quantizeBitsRowAvx512(std::uint16_t *dst, const float *src,
-                      std::size_t n)
-{
-    for (std::size_t j = 0; j < n; j += 16) {
-        const __mmask16 m =
-            headMask(std::min<std::size_t>(16, n - j));
-        const __m512i bits = _mm512_castps_si512(
-            _mm512_maskz_loadu_ps(m, src + j));
-        const __m512i q = quantBits16(bits);
-        _mm256_mask_storeu_epi16(dst + j, m,
-                                 _mm512_cvtepi32_epi16(q));
-    }
-}
-
-void
-widenRowAvx512(float *dst, const std::uint16_t *src, std::size_t n)
-{
-    for (std::size_t j = 0; j < n; j += 16) {
-        const __mmask16 m =
-            headMask(std::min<std::size_t>(16, n - j));
-        _mm512_mask_storeu_ps(dst + j, m, widen16(src + j, m));
-    }
-}
-
-void
-quantizeRoundtripRowAvx512(float *dst, const float *src, std::size_t n)
-{
-    for (std::size_t j = 0; j < n; j += 16) {
-        const __mmask16 m =
-            headMask(std::min<std::size_t>(16, n - j));
-        const __m512 v = _mm512_maskz_loadu_ps(m, src + j);
-        _mm512_mask_storeu_ps(dst + j, m, quantRoundtrip(v));
-    }
-}
-
-void
-truncateRowAvx512(float *dst, const float *src, std::size_t n)
-{
-    for (std::size_t j = 0; j < n; j += 16) {
-        const __mmask16 m =
-            headMask(std::min<std::size_t>(16, n - j));
-        const __m512 v = _mm512_maskz_loadu_ps(m, src + j);
-        _mm512_mask_storeu_ps(dst + j, m, truncate16(v));
-    }
-}
-
-void
-simdMulScalarRowAvx512(float *acc, float q, std::size_t n)
-{
-    const __m512 qv = _mm512_set1_ps(q);
-    for (std::size_t j = 0; j < n; j += 16) {
-        const __mmask16 m =
-            headMask(std::min<std::size_t>(16, n - j));
-        const __m512 x =
-            truncate16(_mm512_maskz_loadu_ps(m, acc + j));
-        _mm512_mask_storeu_ps(
-            acc + j, m, quantRoundtrip(_mm512_mul_ps(x, qv)));
-    }
-}
-
-void
-simdAddScalarRowAvx512(float *acc, float q, std::size_t n)
-{
-    const __m512 qv = _mm512_set1_ps(q);
-    for (std::size_t j = 0; j < n; j += 16) {
-        const __mmask16 m =
-            headMask(std::min<std::size_t>(16, n - j));
-        const __m512 x =
-            truncate16(_mm512_maskz_loadu_ps(m, acc + j));
-        _mm512_mask_storeu_ps(
-            acc + j, m, quantRoundtrip(_mm512_add_ps(x, qv)));
-    }
-}
-
-void
-simdMulVectorRowAvx512(float *acc, const float *v, std::size_t n)
-{
-    for (std::size_t j = 0; j < n; j += 16) {
-        const __mmask16 m =
-            headMask(std::min<std::size_t>(16, n - j));
-        const __m512 x =
-            truncate16(_mm512_maskz_loadu_ps(m, acc + j));
-        const __m512 qv =
-            quantRoundtrip(_mm512_maskz_loadu_ps(m, v + j));
-        _mm512_mask_storeu_ps(
-            acc + j, m, quantRoundtrip(_mm512_mul_ps(x, qv)));
-    }
-}
-
-void
-simdAddVectorRowAvx512(float *acc, const float *v, std::size_t n)
-{
-    for (std::size_t j = 0; j < n; j += 16) {
-        const __mmask16 m =
-            headMask(std::min<std::size_t>(16, n - j));
-        const __m512 x =
-            truncate16(_mm512_maskz_loadu_ps(m, acc + j));
-        const __m512 qv =
-            quantRoundtrip(_mm512_maskz_loadu_ps(m, v + j));
-        _mm512_mask_storeu_ps(
-            acc + j, m, quantRoundtrip(_mm512_add_ps(x, qv)));
-    }
-}
-
-void
-scaleQuantizeRowAvx512(float *v, float s, std::size_t n)
-{
-    const __m512 sv = _mm512_set1_ps(s);
-    for (std::size_t j = 0; j < n; j += 16) {
-        const __mmask16 m =
-            headMask(std::min<std::size_t>(16, n - j));
-        const __m512 y =
-            _mm512_mul_ps(_mm512_maskz_loadu_ps(m, v + j), sv);
-        _mm512_mask_storeu_ps(v + j, m, quantRoundtrip(y));
-    }
-}
-
-void
-lutRowAvx512(float *acc, const std::uint32_t *table, std::size_t n)
-{
-    std::size_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-        const __m512i bits = _mm512_loadu_si512(acc + j);
-        const __m512i idx = _mm512_srli_epi32(bits, 16);
-        const __m512i out = _mm512_i32gather_epi32(idx, table, 4);
-        _mm512_storeu_si512(acc + j, out);
-    }
-    if (j < n) {
-        const __mmask16 m = headMask(n - j);
-        const __m512i bits = _mm512_maskz_loadu_epi32(m, acc + j);
-        const __m512i idx = _mm512_srli_epi32(bits, 16);
-        const __m512i out = _mm512_mask_i32gather_epi32(
-            _mm512_setzero_si512(), m, idx, table, 4);
-        _mm512_mask_storeu_epi32(acc + j, m, out);
-    }
-}
+};
 
 } // namespace
 
 const KernelSet &
 avx512KernelSet()
 {
-    static const KernelSet set = {
-        "avx512",
-        macRowF32Avx512,
-        macRowBf16Avx512,
-        mulAccRowF32Avx512,
-        gemmTileBf16Avx512,
-        gemmTileF32Avx512,
-        quantizeBitsRowAvx512,
-        widenRowAvx512,
-        quantizeRoundtripRowAvx512,
-        truncateRowAvx512,
-        simdMulScalarRowAvx512,
-        simdAddScalarRowAvx512,
-        simdMulVectorRowAvx512,
-        simdAddVectorRowAvx512,
-        scaleQuantizeRowAvx512,
-        lutRowAvx512,
-    };
+    static const KernelSet set = simd::makeKernelSet<Avx512>("avx512");
     return set;
 }
 

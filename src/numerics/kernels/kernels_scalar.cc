@@ -27,21 +27,6 @@ widenBits(std::uint16_t bits)
 }
 
 void
-macRowF32Scalar(float *c, const float *b, float av, std::size_t n)
-{
-    for (std::size_t j = 0; j < n; ++j)
-        c[j] += av * b[j];
-}
-
-void
-macRowBf16Scalar(float *acc, const std::uint16_t *b, float av,
-                 std::size_t n)
-{
-    for (std::size_t j = 0; j < n; ++j)
-        acc[j] += av * widenBits(b[j]);
-}
-
-void
 mulAccRowF32Scalar(float *c, const float *a, const float *b,
                    std::size_t n)
 {
@@ -58,9 +43,12 @@ gemmTileBf16Scalar(float *acc, std::size_t accStride,
     for (std::size_t i = 0; i < rows; ++i) {
         const std::uint16_t *arow = a + i * aStride;
         float *crow = acc + i * accStride;
-        for (std::size_t k = 0; k < depth; ++k)
-            macRowBf16Scalar(crow, b + k * bStride, widenBits(arow[k]),
-                             cols);
+        for (std::size_t k = 0; k < depth; ++k) {
+            const float av = widenBits(arow[k]);
+            const std::uint16_t *brow = b + k * bStride;
+            for (std::size_t j = 0; j < cols; ++j)
+                crow[j] += av * widenBits(brow[j]);
+        }
     }
 }
 
@@ -73,8 +61,12 @@ gemmTileF32Scalar(float *acc, std::size_t accStride, const float *a,
     for (std::size_t i = 0; i < rows; ++i) {
         const float *arow = a + i * aStride;
         float *crow = acc + i * accStride;
-        for (std::size_t k = 0; k < depth; ++k)
-            macRowF32Scalar(crow, b + k * bStride, arow[k], cols);
+        for (std::size_t k = 0; k < depth; ++k) {
+            const float av = arow[k];
+            const float *brow = b + k * bStride;
+            for (std::size_t j = 0; j < cols; ++j)
+                crow[j] += av * brow[j];
+        }
     }
 }
 
@@ -159,8 +151,6 @@ scalarKernelSet()
 {
     static const KernelSet set = {
         "scalar",
-        macRowF32Scalar,
-        macRowBf16Scalar,
         mulAccRowF32Scalar,
         gemmTileBf16Scalar,
         gemmTileF32Scalar,

@@ -78,6 +78,21 @@ specialVector(Rng &rng, std::size_t n)
     return v;
 }
 
+/** specialVector without the non-finite draws, for deep GEMM shapes:
+ *  over hundreds of terms a NaN or Inf product is near certain, so
+ *  every accumulator would end as NaN and hide any wrong term. */
+std::vector<float>
+finiteSpecialVector(Rng &rng, std::size_t n)
+{
+    std::vector<float> v(n);
+    for (float &x : v) {
+        do {
+            x = specialValue(rng);
+        } while (!std::isfinite(x));
+    }
+    return v;
+}
+
 std::vector<std::uint16_t>
 quantize(const std::vector<float> &v)
 {
@@ -130,25 +145,9 @@ TEST(KernelDispatch, RowKernelsBitIdenticalAcrossTiers)
             const std::vector<std::uint16_t> bits = quantize(src);
             const float av = specialValue(rng);
 
-            // macRowF32
-            std::vector<float> got = acc0, want = acc0;
-            ks.macRowF32(got.data(), src.data(), av, n);
-            ref.macRowF32(want.data(), src.data(), av, n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " macRowF32 n=" << n;
-
-            // macRowBf16
-            got = acc0;
-            want = acc0;
-            ks.macRowBf16(got.data(), bits.data(), av, n);
-            ref.macRowBf16(want.data(), bits.data(), av, n);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " macRowBf16 n=" << n;
-
             // mulAccRowF32 (the diagonal-batched wavefront sweep)
             const std::vector<float> src2 = specialVector(rng, n);
-            got = acc0;
-            want = acc0;
+            std::vector<float> got = acc0, want = acc0;
             ks.mulAccRowF32(got.data(), src.data(), src2.data(), n);
             ref.mulAccRowF32(want.data(), src.data(), src2.data(), n);
             EXPECT_TRUE(bitsIdentical(got, want))
@@ -237,12 +236,17 @@ TEST(KernelDispatch, GemmTileBitIdenticalAcrossTiersWithStrides)
         std::size_t rows, cols, depth;
     };
     // Tails below/above the 8/16/32/64-lane block widths, plus strided
-    // views (stride > cols) as the fsim tile loop produces them.
+    // views (stride > cols) as the fsim tile loop produces them. The
+    // last three cross the widened-B depth split (depth > 8192 / panel
+    // width), run two or more full 6-row groups plus a remainder, and
+    // span several column panels ending in a masked tail; their
+    // operands are finite so the accumulators do not all end as NaN.
     const Shape shapes[] = { { 1, 1, 1 },    { 3, 5, 7 },
                              { 4, 16, 8 },   { 5, 17, 9 },
                              { 8, 33, 16 },  { 2, 64, 12 },
                              { 3, 65, 5 },   { 6, 128, 10 },
-                             { 7, 100, 23 } };
+                             { 7, 100, 23 }, { 13, 130, 300 },
+                             { 12, 64, 129 }, { 17, 200, 1030 } };
     for (SimdTier tier : availableTiers()) {
         const KernelSet &ks = kernels::kernelsForTier(tier);
         Rng rng(99);
@@ -250,10 +254,12 @@ TEST(KernelDispatch, GemmTileBitIdenticalAcrossTiersWithStrides)
             const std::size_t aStride = s.depth + 3;
             const std::size_t bStride = s.cols + 5;
             const std::size_t cStride = s.cols + 2;
+            const auto operand = s.depth > 64 ? finiteSpecialVector
+                                              : specialVector;
             std::vector<std::uint16_t> a =
-                quantize(specialVector(rng, s.rows * aStride));
+                quantize(operand(rng, s.rows * aStride));
             std::vector<std::uint16_t> b =
-                quantize(specialVector(rng, s.depth * bStride));
+                quantize(operand(rng, s.depth * bStride));
             const std::vector<float> c0 =
                 specialVector(rng, s.rows * cStride);
 
@@ -278,12 +284,16 @@ TEST(KernelDispatch, GemmTileF32BitIdenticalAcrossTiersWithStrides)
     };
     // Odd row counts exercise the register-blocked kernels' remainder
     // row; tails below/above the 8/16/32/64-lane block widths and
-    // strided views exercise the column tails.
+    // strided views exercise the column tails; the last three run two
+    // or more full 6-row groups plus a remainder over several column
+    // panels ending in a masked tail, at depths up to 1030, with
+    // finite operands so the accumulators do not all end as NaN.
     const Shape shapes[] = { { 1, 1, 1 },    { 3, 5, 7 },
                              { 4, 16, 8 },   { 5, 17, 9 },
                              { 8, 33, 16 },  { 2, 64, 12 },
                              { 3, 65, 5 },   { 6, 128, 10 },
-                             { 7, 100, 23 } };
+                             { 7, 100, 23 }, { 13, 130, 300 },
+                             { 12, 64, 129 }, { 17, 200, 1030 } };
     for (SimdTier tier : availableTiers()) {
         const KernelSet &ks = kernels::kernelsForTier(tier);
         Rng rng(1234);
@@ -291,10 +301,10 @@ TEST(KernelDispatch, GemmTileF32BitIdenticalAcrossTiersWithStrides)
             const std::size_t aStride = s.depth + 3;
             const std::size_t bStride = s.cols + 5;
             const std::size_t cStride = s.cols + 2;
-            const std::vector<float> a =
-                specialVector(rng, s.rows * aStride);
-            const std::vector<float> b =
-                specialVector(rng, s.depth * bStride);
+            const auto operand = s.depth > 64 ? finiteSpecialVector
+                                              : specialVector;
+            const std::vector<float> a = operand(rng, s.rows * aStride);
+            const std::vector<float> b = operand(rng, s.depth * bStride);
             const std::vector<float> c0 =
                 specialVector(rng, s.rows * cStride);
 
