@@ -417,10 +417,10 @@ main(int argc, char **argv)
         const BertShape link_shape{ 12, 768, 12, 3072,
                                     quick ? 1ull : 4ull, 512 };
         auto link_config = [](StreamMode mode) {
-            ProseConfig config = ProseConfig::bestPerf();
-            config.link = LinkSpec::nvlink2At80();
-            config.streaming.mode = mode;
-            return config;
+            ProseConfig sim_config = ProseConfig::bestPerf();
+            sim_config.link = LinkSpec::nvlink2At80();
+            sim_config.streaming.mode = mode;
+            return sim_config;
         };
         const struct
         {
@@ -432,31 +432,31 @@ main(int argc, char **argv)
             { "link_stream_ideal", StreamMode::Ideal },
         };
         for (const auto &bench : stream_benches) {
-            const ProseConfig config = link_config(bench.mode);
+            const ProseConfig sim_config = link_config(bench.mode);
             results.push_back(timeBench(bench.name, repeats, [&] {
                 volatile double sink =
-                    PerfSim(config).run(link_shape).makespan;
+                    PerfSim(sim_config).run(link_shape).makespan;
                 (void)sink;
             }));
         }
         {
-            ProseConfig config = link_config(StreamMode::DoubleBuffered);
-            config.link.compression = LinkCompression::ZeroRun;
+            ProseConfig sim_config = link_config(StreamMode::DoubleBuffered);
+            sim_config.link.compression = LinkCompression::ZeroRun;
             results.push_back(
                 timeBench("link_compress_zero_run", repeats, [&] {
                     volatile double sink =
-                        PerfSim(config).run(link_shape).makespan;
+                        PerfSim(sim_config).run(link_shape).makespan;
                     (void)sink;
                 }));
         }
         {
-            const ProseConfig config =
+            const ProseConfig sim_config =
                 link_config(StreamMode::DoubleBuffered);
             const std::vector<BertShape> tenants(2, link_shape);
             results.push_back(
                 timeBench("link_contention_2tenant", repeats, [&] {
                     volatile double sink =
-                        PerfSim(config).runShared(tenants).makespan;
+                        PerfSim(sim_config).runShared(tenants).makespan;
                     (void)sink;
                 }));
         }

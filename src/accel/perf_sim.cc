@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <queue>
 #include <utility>
 
@@ -177,8 +176,10 @@ PerfSim::accelTaskSeconds(const DataflowTask &task,
     return seconds;
 }
 
+template <typename Shape>
 PerfSim::TenantLoad
-PerfSim::sliceShape(const BertShape &shape) const
+PerfSim::sliceShape(const Shape &shape,
+                    OpTrace (*synthesize)(const Shape &)) const
 {
     PROSE_ASSERT(shape.batch > 0, "empty batch");
     // Slice the batch across threads as evenly as possible; threads
@@ -189,27 +190,32 @@ PerfSim::sliceShape(const BertShape &shape) const
         std::min<std::uint64_t>(config_.threads, shape.batch);
     DataflowBuilder builder;
     for (std::uint64_t t = 0; t < used_threads; ++t) {
-        BertShape slice = shape;
+        Shape slice = shape;
         slice.batch = shape.batch / used_threads +
                       (t < shape.batch % used_threads ? 1 : 0);
         if (slice.batch == 0)
             continue;
         load.shares.push_back(slice.batch);
-        load.threadTasks.push_back(
-            builder.build(synthesizeBertTrace(slice)));
+        load.threadTasks.push_back(builder.build(synthesize(slice)));
     }
     return load;
 }
 
 SimReport
-PerfSim::run(const BertShape &shape) const
+PerfSim::runSingle(TenantLoad load) const
 {
     std::vector<TenantLoad> tenants;
-    tenants.push_back(sliceShape(shape));
+    tenants.push_back(std::move(load));
     SimReport report = runTasksShared(tenants, nullptr);
-    report.inferences = shape.batch;
+    report.inferences = tenants[0].inferences;
     expandInferenceEnds(report, tenants[0].shares);
     return report;
+}
+
+SimReport
+PerfSim::run(const BertShape &shape) const
+{
+    return runSingle(sliceShape(shape, synthesizeBertTrace));
 }
 
 SimReport
@@ -220,7 +226,7 @@ PerfSim::runShared(const std::vector<BertShape> &tenant_shapes,
     std::vector<TenantLoad> tenants;
     tenants.reserve(tenant_shapes.size());
     for (const BertShape &shape : tenant_shapes)
-        tenants.push_back(sliceShape(shape));
+        tenants.push_back(sliceShape(shape, synthesizeBertTrace));
     std::vector<SimReport> locals;
     SimReport report = runTasksShared(tenants, &locals);
     report.inferences = 0;
@@ -242,26 +248,7 @@ PerfSim::runShared(const std::vector<BertShape> &tenant_shapes,
 SimReport
 PerfSim::runDecoder(const DecoderShape &shape) const
 {
-    PROSE_ASSERT(shape.batch > 0, "empty batch");
-    const std::uint64_t used_threads =
-        std::min<std::uint64_t>(config_.threads, shape.batch);
-    std::vector<std::vector<DataflowTask>> thread_tasks;
-    std::vector<std::uint64_t> shares;
-    DataflowBuilder builder;
-    for (std::uint64_t t = 0; t < used_threads; ++t) {
-        DecoderShape slice = shape;
-        slice.batch = shape.batch / used_threads +
-                      (t < shape.batch % used_threads ? 1 : 0);
-        if (slice.batch == 0)
-            continue;
-        shares.push_back(slice.batch);
-        thread_tasks.push_back(
-            builder.build(synthesizeDecoderTrace(slice)));
-    }
-    SimReport report = runTasks(thread_tasks);
-    report.inferences = shape.batch;
-    expandInferenceEnds(report, shares);
-    return report;
+    return runSingle(sliceShape(shape, synthesizeDecoderTrace));
 }
 
 SimReport
@@ -341,8 +328,8 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
     std::array<double, 3> link_out_free{ { 0.0, 0.0, 0.0 } };
 
     // Flat thread list, tenant-major: with one tenant the global index
-    // equals the legacy thread index, so both schedulers reproduce the
-    // single-tenant dispatch order exactly.
+    // is the thread index, so a single-tenant runShared() dispatches in
+    // exactly run()'s order.
     struct ThreadRef
     {
         std::uint32_t tenant = 0;
@@ -554,57 +541,35 @@ PerfSim::runTasksShared(const std::vector<TenantLoad> &tenants,
                tenants[flat[g].tenant].threadTasks[flat[g].local].size();
     };
 
-    if (options_.referenceScheduler) {
-        // Reference next-event selection: O(threads) scan per dispatch,
-        // kept as the differential baseline for the event queue below.
-        const double inf = std::numeric_limits<double>::infinity();
-        while (true) {
-            double best_start = inf;
-            std::size_t best_thread = 0;
-            Candidate best;
-            for (std::size_t g = 0; g < threads.size(); ++g) {
-                if (!tasksRemaining(g))
-                    continue;
-                const Candidate c = candidateFor(g);
-                if (c.start < best_start) {
-                    best_start = c.start;
-                    best_thread = g;
-                    best = c;
-                }
-            }
-            if (best_start == inf)
-                break; // all threads drained
-            dispatch(best_thread, best);
+    // Dispatch policy: the next task to run is the one with the
+    // earliest candidate start among threads with work left, ties going
+    // to the lowest tenant-major thread index. It is implemented as a
+    // lazy min-heap event queue keyed by (start, thread). Every
+    // resource-free time (pool, I/O mutex, host slot, thread ready)
+    // only moves forward, so a queued key is a lower bound on the
+    // thread's true start: pop the minimum, recompute under current
+    // state, re-queue if it moved, dispatch if it did not. The
+    // lexicographic key order is the tie-break. The policy is checked
+    // by replaying recorded schedules (tests/accel/schedule_oracle.hh).
+    using HeapEntry = std::pair<double, std::size_t>;
+    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
+                        std::greater<HeapEntry>>
+        queue;
+    for (std::size_t g = 0; g < threads.size(); ++g) {
+        if (tasksRemaining(g))
+            queue.emplace(candidateFor(g).start, g);
+    }
+    while (!queue.empty()) {
+        const auto [bound, g] = queue.top();
+        queue.pop();
+        const Candidate c = candidateFor(g);
+        if (c.start > bound) {
+            queue.emplace(c.start, g); // stale lower bound
+            continue;
         }
-    } else {
-        // Lazy min-heap event queue keyed by (start, thread). Every
-        // resource-free time (pool, I/O mutex, host slot, thread ready)
-        // only moves forward, so a queued key is a lower bound on the
-        // thread's true start: pop the minimum, recompute under current
-        // state, re-queue if it moved, dispatch if it did not. The
-        // (start, thread) lexicographic order reproduces the reference
-        // scan's earliest-start / lowest-thread-index dispatch order
-        // exactly, so both schedulers yield identical timestamps.
-        using HeapEntry = std::pair<double, std::size_t>;
-        std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                            std::greater<HeapEntry>>
-            queue;
-        for (std::size_t g = 0; g < threads.size(); ++g) {
-            if (tasksRemaining(g))
-                queue.emplace(candidateFor(g).start, g);
-        }
-        while (!queue.empty()) {
-            const auto [bound, g] = queue.top();
-            queue.pop();
-            const Candidate c = candidateFor(g);
-            if (c.start > bound) {
-                queue.emplace(c.start, g); // stale lower bound
-                continue;
-            }
-            dispatch(g, c);
-            if (tasksRemaining(g))
-                queue.emplace(candidateFor(g).start, g);
-        }
+        dispatch(g, c);
+        if (tasksRemaining(g))
+            queue.emplace(candidateFor(g).start, g);
     }
 
     report.threadFinishSeconds.reserve(threads.size());

@@ -9,8 +9,10 @@
  *  - an orchestration/scheduling model: each dataflow task waits for
  *    the systolic-array pool of its type (DF1 -> M, DF2 -> G,
  *    DF3 -> E) and for that type's I/O buffer mutex (thread
- *    contention). A dataflow's output tiles are mutually independent,
- *    so the orchestrator spreads them data-parallel across every array
+ *    contention); the next task dispatched is always the one that can
+ *    start earliest, ties going to the lowest thread index. A
+ *    dataflow's output tiles are mutually independent, so the
+ *    orchestrator spreads them data-parallel across every array
  *    of the type — the pool executes one task at a time at the
  *    aggregate rate of its arrays (this is what makes many small
  *    arrays deliver their aggregate SIMD-ALU advantage);
@@ -160,16 +162,10 @@ struct SimOptions
      */
     double ioLockSeconds = 5e-6;
 
-    /** Record per-task schedule items (costs memory on big runs). */
+    /** Record per-task schedule items (costs memory on big runs).
+     *  The items carry every resource-free time the dispatch policy
+     *  reads, so a recorded schedule can be replayed and checked. */
     bool recordSchedule = false;
-
-    /**
-     * Use the original O(threads)-per-dispatch linear next-event scan
-     * instead of the min-heap event queue. Both schedulers produce
-     * identical schedules (asserted by the differential tests); the
-     * linear scan is kept as the reference.
-     */
-    bool referenceScheduler = false;
 
     /**
      * Optional fault injector (not owned). When set, every accelerator
@@ -266,12 +262,27 @@ class PerfSim
         std::uint64_t inferences = 0;
     };
 
-    /** The joint scheduler behind runTasks()/run()/runShared(). */
+    /**
+     * The joint scheduler behind runTasks()/run()/runShared(): a lazy
+     * min-heap event queue that dispatches, at each step, the task with
+     * the earliest candidate start among threads with work left, ties
+     * going to the lowest tenant-major thread index.
+     */
     SimReport runTasksShared(const std::vector<TenantLoad> &tenants,
                              std::vector<SimReport> *per_tenant) const;
 
-    /** Slice one shape across the configured threads. */
-    TenantLoad sliceShape(const BertShape &shape) const;
+    /**
+     * Slice one shape's batch across the configured threads;
+     * `synthesize` builds each slice's trace (BertShape or
+     * DecoderShape).
+     */
+    template <typename Shape>
+    TenantLoad sliceShape(const Shape &shape,
+                          OpTrace (*synthesize)(const Shape &)) const;
+
+    /** Schedule one tenant alone and expand its per-inference
+     *  completion times (run() and runDecoder()). */
+    SimReport runSingle(TenantLoad load) const;
 
     /**
      * @param geometry one array of the executing pool

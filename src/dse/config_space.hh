@@ -32,7 +32,7 @@ struct ConfigSpaceSpec
      * the instance default streaming spec and the link's own
      * compression — so legacy sweeps keep their size.
      */
-    std::vector<StreamSpec> streamingSweep{ StreamSpec{} };
+    std::vector<StreamSpec> streamingSweep = std::vector<StreamSpec>(1);
     std::vector<LinkCompression> compressionSweep{
         LinkCompression::None
     };

@@ -82,12 +82,14 @@ class DseEngine
     /**
      * Functional cross-validation of one configuration: run probe
      * dataflows (1, 2, and a batch-2 dataflow 3) sized off the
-     * config's array geometries through the FunctionalSimulator in the
-     * given engine mode, and check the measured matmul cycles and MAC
-     * counts against the TimingModel's closed forms plus the dataflow-1
-     * output against the host bf16 reference. The fast-forward engine
-     * makes this routinely affordable inside explorations; `validate`
-     * mode additionally cross-checks the two engines op by op.
+     * config's array geometries through the FunctionalSimulator with
+     * the given matmul engine, and check the measured matmul cycles and
+     * MAC counts against the TimingModel's closed forms plus the
+     * dataflow-1 output against the host bf16 reference. The
+     * fast-forward engine makes this routinely affordable inside
+     * explorations; `validate` mode additionally cross-checks the two
+     * matmul engines tile by tile (SIMD passes have one body, shared
+     * by every mode).
      */
     DseValidationReport validate(const ProseConfig &config,
                                  FsimMode mode = defaultFsimMode()) const;

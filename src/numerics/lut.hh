@@ -76,9 +76,11 @@ class TwoLevelLut
      * lookup(pattern).toFloat(). Built by evaluating lookup() on each
      * input, so a flat read is bit-exact with the two-level read by
      * construction — including NaNs, denormals, and the boundary
-     * policies. This is the fast-forward engine's representation
-     * (kernels::KernelSet::lutRow gathers from it); the stepped
-     * wavefront keeps the hardware-faithful two-level lookup().
+     * policies. Every host-side GELU/Exp sweep reads this form
+     * (kernels::KernelSet::lutRow gathers from it): the systolic
+     * array's SIMD pass on every engine, from one process-wide table
+     * per function, and BertModel, from its settable tables. Only the
+     * test oracle's per-cycle rotation still calls lookup() directly.
      */
     std::vector<std::uint32_t> flattenToFloatBits() const;
 

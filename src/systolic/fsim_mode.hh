@@ -1,19 +1,22 @@
 /**
  * @file
- * Execution-engine selection for the functional simulation of the
- * systolic arrays. The cycle-stepped wavefront model is the reference;
- * the fast-forward engine computes the same register file and the same
- * cycle/stall/MAC counters in closed form (or by an O(1)-per-cycle gate
- * replay under starving or non-uniform supply), which is what makes
- * full-model functional runs, fault drills, LUT-accuracy sweeps, and
- * validated DSE routinely affordable. Every mode accepts fault
- * injection, ABFT and fill profiles.
+ * Matmul-engine selection for the functional simulation of the
+ * systolic arrays. The engines differ only in how a matmul tile runs:
+ * the cycle-stepped wavefront model (diagonal-batched) is the
+ * reference; the fast-forward engine computes the same register file
+ * and the same cycle/stall/MAC counters with the GEMM microkernels
+ * and closed-form counters (or an O(1)-per-cycle gate replay under
+ * starving or non-uniform supply), which is what makes full-model
+ * functional runs, fault drills, LUT-accuracy sweeps, and validated DSE
+ * routinely affordable. SIMD passes and the drain have one body that
+ * every mode runs. Every mode accepts fault injection, ABFT and fill
+ * profiles.
  *
  * The mode can be chosen per array / per simulator through the API, or
  * process-wide through the PROSE_FSIM_MODE environment variable
  * ("fast", "stepped", "validate"). `validate` runs BOTH engines on
- * every operation and panics unless the register file, cycle counters,
- * stall counters, and stream-buffer states agree bit-for-bit.
+ * every matmul tile and panics unless the register file, cycle
+ * counters, stall counters, and stream-buffer states agree bit-for-bit.
  */
 
 #ifndef PROSE_SYSTOLIC_FSIM_MODE_HH
@@ -21,7 +24,7 @@
 
 namespace prose {
 
-/** Functional-simulation execution engine. */
+/** Functional-simulation matmul engine. */
 enum class FsimMode
 {
     Fast,     ///< fast-forward: closed-form / gate-replay counters

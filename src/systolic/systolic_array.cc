@@ -9,25 +9,18 @@
 #include "numerics/bfloat16.hh"
 #include "numerics/float_bits.hh"
 #include "numerics/kernels/kernel_dispatch.hh"
+#include "numerics/lut.hh"
 
 namespace prose {
 namespace {
 
-/** operand(i, pass) through a TileSpan (broadcast-aware). */
-inline float
-spanAt(const TileSpan &span, std::size_t i, std::size_t pass)
-{
-    const std::size_t row = span.broadcastRow ? 0 : i;
-    return span.data[row * span.stride + pass];
-}
-
 /**
- * Process-wide flattened special-function tables for the fast-forward
- * SIMD sweep. Every array instantiates the same fixed GELU/Exp
+ * Process-wide flattened special-function tables for the SIMD column's
+ * GELU/Exp pass. Every array instantiates the same fixed GELU/Exp
  * factories, so the 256 KiB flat map (bf16 input bits -> widened fp32
- * output bits) can be shared and built once instead of per-array;
- * flattenToFloatBits() evaluates the member two-level lookup on every
- * input, so reads are bit-identical to applyAlu's stepped path.
+ * output bits) is shared and built once instead of per-array;
+ * flattenToFloatBits() evaluates the two-level lookup on every input,
+ * so reads are bit-identical to TwoLevelLut::lookup() by construction.
  */
 const std::uint32_t *
 flatLutTable(SimdOp op)
@@ -65,8 +58,7 @@ SystolicArray::SystolicArray(const ArrayGeometry &geometry,
                              double a_supply_rate, double b_supply_rate)
     : geometry_(geometry),
       aBuffer_(geometry.bufferDepth, a_supply_rate),
-      bBuffer_(geometry.bufferDepth, b_supply_rate),
-      geluLut_(TwoLevelLut::makeGelu()), expLut_(TwoLevelLut::makeExp())
+      bBuffer_(geometry.bufferDepth, b_supply_rate)
 {
     const std::size_t n = geometry_.dim;
     PROSE_ASSERT(n > 0, "zero-size systolic array");
@@ -104,20 +96,19 @@ SystolicArray::restoreState(const EngineState &state)
 }
 
 void
-SystolicArray::assertEnginesAgree(const char *what,
-                                  const EngineState &stepped,
+SystolicArray::assertEnginesAgree(const EngineState &stepped,
                                   const EngineState &fast,
                                   std::uint64_t stepped_ret,
                                   std::uint64_t fast_ret) const
 {
     const std::size_t n = geometry_.dim;
     if (stepped_ret != fast_ret) {
-        panic("validate(", what, "): cycle returns diverge: stepped=",
+        panic("validate(matmulTile): cycle returns diverge: stepped=",
               stepped_ret, " fast=", fast_ret);
     }
     if (stepped.liveRows != fast.liveRows ||
         stepped.liveCols != fast.liveCols) {
-        panic("validate(", what, "): live regions diverge: stepped=",
+        panic("validate(matmulTile): live regions diverge: stepped=",
               stepped.liveRows, "x", stepped.liveCols,
               " fast=", fast.liveRows, "x", fast.liveCols);
     }
@@ -144,14 +135,14 @@ SystolicArray::assertEnginesAgree(const char *what,
     };
     for (const auto &c : counters) {
         if (c.steppedVal != c.fastVal) {
-            panic("validate(", what, "): ", c.name,
+            panic("validate(matmulTile): ", c.name,
                   " diverges: stepped=", c.steppedVal,
                   " fast=", c.fastVal);
         }
     }
     if (!bitsEqual(stepped.aBuf.occupancy, fast.aBuf.occupancy) ||
         !bitsEqual(stepped.bBuf.occupancy, fast.bBuf.occupancy)) {
-        panic("validate(", what, "): buffer occupancy diverges: a ",
+        panic("validate(matmulTile): buffer occupancy diverges: a ",
               stepped.aBuf.occupancy, " vs ", fast.aBuf.occupancy,
               ", b ", stepped.bBuf.occupancy, " vs ",
               fast.bBuf.occupancy);
@@ -160,34 +151,12 @@ SystolicArray::assertEnginesAgree(const char *what,
                    stepped.acc.size())) {
         for (std::size_t idx = 0; idx < stepped.acc.size(); ++idx) {
             if (!bitsEqual(stepped.acc[idx], fast.acc[idx])) {
-                panic("validate(", what, "): accumulator (", idx / n,
+                panic("validate(matmulTile): accumulator (", idx / n,
                       ",", idx % n, ") diverges: stepped=",
                       stepped.acc[idx], " fast=", fast.acc[idx]);
             }
         }
     }
-}
-
-template <typename SteppedFn, typename FastFn>
-std::uint64_t
-SystolicArray::dispatch(const char *what, SteppedFn stepped, FastFn fast)
-{
-    switch (mode_) {
-      case FsimMode::Stepped:
-        return stepped();
-      case FsimMode::Fast:
-        return fast();
-      case FsimMode::Validate:
-        break;
-    }
-    const EngineState pre = captureState();
-    const std::uint64_t fast_ret = fast();
-    const EngineState fast_post = captureState();
-    restoreState(pre);
-    const std::uint64_t stepped_ret = stepped();
-    assertEnginesAgree(what, captureState(), fast_post, stepped_ret,
-                       fast_ret);
-    return stepped_ret;
 }
 
 std::uint64_t
@@ -204,9 +173,24 @@ SystolicArray::matmulTile(const TileOperand &a, const TileOperand &b)
                  " on ", n, "x", n);
     PROSE_ASSERT(b.rows == k_depth, "tile inner-dimension mismatch");
 
-    const std::uint64_t cycles = dispatch(
-        "matmulTile", [&] { return steppedMatmulTile(a, b); },
-        [&] { return fastMatmulTile(a, b); });
+    std::uint64_t cycles = 0;
+    switch (mode_) {
+      case FsimMode::Fast:
+        cycles = fastMatmulTile(a, b);
+        break;
+      case FsimMode::Stepped:
+        cycles = steppedMatmulTile(a, b);
+        break;
+      case FsimMode::Validate: {
+        const EngineState pre = captureState();
+        const std::uint64_t fast_ret = fastMatmulTile(a, b);
+        const EngineState fast_post = captureState();
+        restoreState(pre);
+        cycles = steppedMatmulTile(a, b);
+        assertEnginesAgree(captureState(), fast_post, cycles, fast_ret);
+        break;
+      }
+    }
 
     // Faults are one post-tile transform. Every engine leaves the same
     // accumulator bits behind (Validate has already compared both runs'
@@ -439,44 +423,6 @@ SystolicArray::fastForwardMatmulGating(std::size_t rows,
     return cycles;
 }
 
-float
-SystolicArray::applyAlu(SimdOp op, float acc_value, float operand) const
-{
-    // SIMD inputs read the accumulator's top 16 bits (truncation).
-    const float x = truncateBf16(acc_value);
-    switch (op) {
-      case SimdOp::MulScalar:
-      case SimdOp::MulVector:
-        return quantizeBf16(x * quantizeBf16(operand));
-      case SimdOp::AddScalar:
-      case SimdOp::AddVector:
-        return quantizeBf16(x + quantizeBf16(operand));
-      case SimdOp::Gelu:
-        PROSE_ASSERT(geometry_.hasGelu,
-                     "GELU issued to an array without GELU LUTs (",
-                     geometry_.describe(), ")");
-        return geluLut_.lookup(truncateToBf16(acc_value)).toFloat();
-      case SimdOp::Exp:
-        PROSE_ASSERT(geometry_.hasExp,
-                     "Exp issued to an array without Exp LUTs (",
-                     geometry_.describe(), ")");
-        return expLut_.lookup(truncateToBf16(acc_value)).toFloat();
-    }
-    panic("unreachable SIMD op");
-}
-
-void
-SystolicArray::rotateLeft(const std::vector<float> &results)
-{
-    const std::size_t n = geometry_.dim;
-    for (std::size_t i = 0; i < liveRows_; ++i) {
-        float *row = acc_.data() + i * n;
-        for (std::size_t j = 0; j + 1 < liveCols_; ++j)
-            row[j] = row[j + 1];
-        row[liveCols_ - 1] = results[i];
-    }
-}
-
 std::uint64_t
 SystolicArray::simdScalar(SimdOp op, float scalar)
 {
@@ -484,35 +430,13 @@ SystolicArray::simdScalar(SimdOp op, float scalar)
                  "simdScalar needs a scalar op");
     PROSE_ASSERT(liveRows_ > 0 && liveCols_ > 0,
                  "SIMD pass with no live tile");
-    return dispatch(
-        "simdScalar", [&] { return steppedSimdScalar(op, scalar); },
-        [&] { return fastSimdScalar(op, scalar); });
-}
-
-std::uint64_t
-SystolicArray::steppedSimdScalar(SimdOp op, float scalar)
-{
-    const std::size_t n = geometry_.dim;
-    std::vector<float> results(liveRows_);
-    for (std::size_t pass = 0; pass < liveCols_; ++pass) {
-        for (std::size_t i = 0; i < liveRows_; ++i) {
-            results[i] = applyAlu(op, acc_[i * n], scalar);
-            ++simdOpCount_;
-        }
-        rotateLeft(results);
-        ++simdCycles_;
-    }
-    return liveCols_;
-}
-
-std::uint64_t
-SystolicArray::fastSimdScalar(SimdOp op, float scalar)
-{
     // A full rotation returns the tile to its original orientation and
     // feeds every live element through the ALU exactly once, so the
-    // pass is an in-place elementwise map on the SIMD-row kernels. The
-    // broadcast operand's bf16 quantization is hoisted out of the loop
-    // — the ALU quantizes the same scalar to the same bits every cycle.
+    // pass is an in-place elementwise map on the SIMD-row kernels (the
+    // per-cycle rotation itself is the test oracle's, in
+    // tests/systolic/scalar_walk_array.hh). The broadcast operand's
+    // bf16 quantization is hoisted out of the loop — the ALU quantizes
+    // the same scalar to the same bits every cycle.
     const std::size_t n = geometry_.dim;
     const kernels::KernelSet &ks = kernels::activeKernels();
     const float q = quantizeBf16(scalar);
@@ -538,53 +462,6 @@ SystolicArray::simdVector(SimdOp op, const TileSpan &operand)
     PROSE_ASSERT((operand.broadcastRow || operand.rows >= liveRows_) &&
                      operand.cols >= liveCols_,
                  "vector operand smaller than the live tile");
-    return dispatch(
-        "simdVector", [&] { return steppedSimdVector(op, operand); },
-        [&] { return fastSimdVector(op, operand); });
-}
-
-std::uint64_t
-SystolicArray::simdVector(SimdOp op, const Matrix &operand)
-{
-    return simdVector(op, TileSpan{ operand.data(), operand.cols(),
-                                    operand.rows(), operand.cols(),
-                                    false });
-}
-
-std::uint64_t
-SystolicArray::steppedSimdVector(SimdOp op, const TileSpan &operand)
-{
-    const std::size_t n = geometry_.dim;
-    std::vector<float> results(liveRows_);
-    std::uint64_t cycles = 0;
-    std::size_t pass = 0;
-    while (pass < liveCols_) {
-        ++cycles;
-        ++simdCycles_;
-        // The vector register streams one operand column per pass
-        // through the west-edge path; starving it stalls the rotation.
-        aBuffer_.fillTick();
-        if (!aBuffer_.available()) {
-            aBuffer_.noteStall();
-            ++stallCycles_;
-            continue;
-        }
-        aBuffer_.consume();
-        for (std::size_t i = 0; i < liveRows_; ++i) {
-            // Column 0 of the rotated tile is original column `pass`.
-            results[i] =
-                applyAlu(op, acc_[i * n], spanAt(operand, i, pass));
-            ++simdOpCount_;
-        }
-        rotateLeft(results);
-        ++pass;
-    }
-    return cycles;
-}
-
-std::uint64_t
-SystolicArray::fastSimdVector(SimdOp op, const TileSpan &operand)
-{
     // The rotated tile's column 0 during pass j is original column j,
     // so the in-place map pairs element (i, j) with operand(i, j); each
     // accumulator row runs on the SIMD vector-row kernel against the
@@ -610,8 +487,10 @@ SystolicArray::fastSimdVector(SimdOp op, const TileSpan &operand)
         return liveCols_;
     }
 
-    // Gate replay for the streamed operand columns (see
-    // fastForwardMatmulGating for why this is a replay, not a formula).
+    // The vector register streams one operand column per pass through
+    // the west-edge path, and starving it stalls the rotation. Gate
+    // replay (see fastForwardMatmulGating for why this is a replay,
+    // not a formula).
     std::uint64_t cycles = 0;
     std::size_t pass = 0;
     while (pass < liveCols_) {
@@ -630,42 +509,29 @@ SystolicArray::fastSimdVector(SimdOp op, const TileSpan &operand)
 }
 
 std::uint64_t
+SystolicArray::simdVector(SimdOp op, const Matrix &operand)
+{
+    return simdVector(op, TileSpan{ operand.data(), operand.cols(),
+                                    operand.rows(), operand.cols(),
+                                    false });
+}
+
+std::uint64_t
 SystolicArray::simdSpecial(SimdOp op)
 {
     PROSE_ASSERT(op == SimdOp::Gelu || op == SimdOp::Exp,
                  "simdSpecial needs a special-function op");
     PROSE_ASSERT(liveRows_ > 0 && liveCols_ > 0,
                  "SIMD pass with no live tile");
-    return dispatch(
-        "simdSpecial", [&] { return steppedSimdSpecial(op); },
-        [&] { return fastSimdSpecial(op); });
-}
-
-std::uint64_t
-SystolicArray::steppedSimdSpecial(SimdOp op)
-{
-    const std::size_t n = geometry_.dim;
-    std::vector<float> results(liveRows_);
-    for (std::size_t pass = 0; pass < liveCols_; ++pass) {
-        for (std::size_t i = 0; i < liveRows_; ++i) {
-            results[i] = applyAlu(op, acc_[i * n], 0.0f);
-            ++simdOpCount_;
-        }
-        rotateLeft(results);
-        ++simdCycles_;
-    }
-    return liveCols_;
-}
-
-std::uint64_t
-SystolicArray::fastSimdSpecial(SimdOp op)
-{
     PROSE_ASSERT(op != SimdOp::Gelu || geometry_.hasGelu,
                  "GELU issued to an array without GELU LUTs (",
                  geometry_.describe(), ")");
     PROSE_ASSERT(op != SimdOp::Exp || geometry_.hasExp,
                  "Exp issued to an array without Exp LUTs (",
                  geometry_.describe(), ")");
+    // The ALU reads the accumulator's top 16 bits, so the two-level
+    // lookup is a pure function of those bits: one flat-table gather
+    // per element.
     const std::size_t n = geometry_.dim;
     const std::uint32_t *table = flatLutTable(op);
     const kernels::KernelSet &ks = kernels::activeKernels();

@@ -28,7 +28,7 @@
  * either buffer underflows, the whole array stalls for that cycle.
  *
  * Execution engines: the systolic schedule is fully deterministic, so
- * every operation can run on either of two engines that produce
+ * every matmul tile can run on either of two engines that produce
  * bit-identical register files and identical cycle/stall/MAC counters:
  *
  *  - stepped: the wavefront machine above, diagonal-batched. The PEs
@@ -46,10 +46,17 @@
  *    cannot starve, or by an O(1)-per-cycle gate replay (which also
  *    covers non-uniform fill profiles) when they can.
  *
- * FsimMode selects the engine (API or PROSE_FSIM_MODE); Validate runs
- * both and panics on any state divergence. Fault injection is one
- * post-tile transform applied after whichever engine ran, so every mode
- * sees the same fault sequence.
+ * The engines differ only in matmul. A SIMD pass has one body on every
+ * engine: a full rotation returns the tile to its original orientation
+ * and sends every live element through the ALU exactly once, so the
+ * pass is an in-place elementwise map (the per-cycle rotation is the
+ * oracle's), and the drain is one sweep of the OUTPUT port.
+ *
+ * FsimMode selects the matmul engine (API or PROSE_FSIM_MODE); Validate
+ * runs both on every matmul tile and panics on any divergence of the
+ * full engine state. Fault injection is one post-tile transform applied
+ * after whichever engine ran, so every mode sees the same fault
+ * sequence.
  */
 
 #ifndef PROSE_SYSTOLIC_SYSTOLIC_ARRAY_HH
@@ -61,7 +68,6 @@
 
 #include "array_config.hh"
 #include "fsim_mode.hh"
-#include "numerics/lut.hh"
 #include "numerics/matrix.hh"
 #include "stream_buffer.hh"
 
@@ -241,10 +247,10 @@ class SystolicArray
 
     /** @name Execution-engine selection @{ */
 
-    /** Request an execution engine (defaults to PROSE_FSIM_MODE). */
+    /** Request a matmul engine (defaults to PROSE_FSIM_MODE). */
     void setMode(FsimMode mode) { mode_ = mode; }
 
-    /** The engine every operation runs on. */
+    /** The engine every matmul tile runs on. */
     FsimMode mode() const { return mode_; }
 
     /** Stream-buffer access (fill profiles, occupancy inspection). */
@@ -266,7 +272,7 @@ class SystolicArray
     /** @} */
 
   private:
-    /** Complete observable state for validate mode. */
+    /** Complete observable state, compared by validate mode. */
     struct EngineState
     {
         std::vector<float> acc;
@@ -283,22 +289,15 @@ class SystolicArray
 
     EngineState captureState() const;
     void restoreState(const EngineState &state);
-    [[maybe_unused]] void assertEnginesAgree(
-        const char *what, const EngineState &stepped,
-        const EngineState &fast, std::uint64_t stepped_ret,
-        std::uint64_t fast_ret) const;
-
-    /** Run `stepped`/`fast` per mode(); Validate runs both. */
-    template <typename SteppedFn, typename FastFn>
-    std::uint64_t dispatch(const char *what, SteppedFn stepped,
-                           FastFn fast);
-
-    /** @name The cycle-stepped engine @{ */
+    void assertEnginesAgree(const EngineState &stepped,
+                            const EngineState &fast,
+                            std::uint64_t stepped_ret,
+                            std::uint64_t fast_ret) const;
 
     /**
-     * The diagonal-batched stepped matmul: gathers the PE state touched
-     * by each anti-diagonal into contiguous arena SoA planes, runs each
-     * diagonal's independent MACs through the kernel layer in
+     * The cycle-stepped matmul, diagonal-batched: gathers the PE state
+     * touched by each anti-diagonal into contiguous arena SoA planes,
+     * runs each diagonal's independent MACs through the kernel layer in
      * ascending-k' order per accumulator, and elides the idle register
      * sweeps by advancing cycle/consume counters through the shared
      * stream-buffer gating. Bit- and counter-identical to the scalar PE
@@ -307,21 +306,9 @@ class SystolicArray
     std::uint64_t steppedMatmulTile(const TileOperand &a,
                                     const TileOperand &b);
 
-    std::uint64_t steppedSimdScalar(SimdOp op, float scalar);
-    std::uint64_t steppedSimdVector(SimdOp op, const TileSpan &operand);
-    std::uint64_t steppedSimdSpecial(SimdOp op);
-
-    /** Rotate the live region left one column, writing `results` into
-     *  the rightmost live column. */
-    void rotateLeft(const std::vector<float> &results);
-    /** @} */
-
-    /** @name The fast-forward engine @{ */
+    /** The fast-forward matmul: the GEMM microkernels, ascending k'. */
     std::uint64_t fastMatmulTile(const TileOperand &a,
                                  const TileOperand &b);
-    std::uint64_t fastSimdScalar(SimdOp op, float scalar);
-    std::uint64_t fastSimdVector(SimdOp op, const TileSpan &operand);
-    std::uint64_t fastSimdSpecial(SimdOp op);
 
     /**
      * Advance the matmul stream-buffer gating without the PE sweep:
@@ -336,18 +323,12 @@ class SystolicArray
     std::uint64_t fastForwardMatmulGating(std::size_t rows,
                                           std::size_t cols,
                                           std::size_t k_depth);
-    /** @} */
-
-    /** Apply one SIMD ALU operation to a single element. */
-    float applyAlu(SimdOp op, float acc_value, float operand) const;
 
     ArrayGeometry geometry_;
     FaultInjector *injector_ = nullptr;
     std::string faultSite_;
     StreamBuffer aBuffer_;
     StreamBuffer bBuffer_;
-    TwoLevelLut geluLut_;
-    TwoLevelLut expLut_;
     FsimMode mode_ = defaultFsimMode();
 
     std::vector<float> acc_; ///< n*n fp32 accumulators

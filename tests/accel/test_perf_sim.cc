@@ -6,6 +6,7 @@
 #include <map>
 
 #include "accel/perf_sim.hh"
+#include "schedule_oracle.hh"
 
 namespace prose {
 namespace {
@@ -295,71 +296,51 @@ TEST(PerfSim, DecoderCrossAttentionCostsGrowWithMemory)
               sim.runDecoder(large).makespan);
 }
 
-/** Run one shape under both schedulers and demand identical reports. */
-void
-expectSchedulersAgree(const ProseConfig &config, const BertShape &shape,
-                      FaultInjector *heap_injector = nullptr,
-                      FaultInjector *ref_injector = nullptr)
+/** Run one shape with the schedule recorded and replay it against the
+ *  dispatch policy (schedule_oracle.hh). */
+SimReport
+expectScheduleFollowsPolicy(const ProseConfig &config,
+                            const BertShape &shape,
+                            FaultInjector *injector = nullptr)
 {
-    SimOptions heap_options;
-    heap_options.recordSchedule = true;
-    heap_options.injector = heap_injector;
-    SimOptions ref_options;
-    ref_options.recordSchedule = true;
-    ref_options.referenceScheduler = true;
-    ref_options.injector = ref_injector;
-
-    const SimReport heap_report =
-        PerfSim(config, TimingModel{}, HostModel{}, heap_options)
-            .run(shape);
-    const SimReport ref_report =
-        PerfSim(config, TimingModel{}, HostModel{}, ref_options)
-            .run(shape);
-
-    EXPECT_EQ(heap_report.makespan, ref_report.makespan);
-    EXPECT_EQ(heap_report.taskCount, ref_report.taskCount);
-    EXPECT_EQ(heap_report.bytesIn, ref_report.bytesIn);
-    EXPECT_EQ(heap_report.bytesOut, ref_report.bytesOut);
-    EXPECT_EQ(heap_report.hostBusySeconds, ref_report.hostBusySeconds);
-    for (std::size_t idx = 0; idx < 3; ++idx)
-        EXPECT_EQ(heap_report.typeBusySeconds[idx],
-                  ref_report.typeBusySeconds[idx]);
-
-    // Identical dispatch order, not just identical totals.
-    ASSERT_EQ(heap_report.schedule.size(), ref_report.schedule.size());
-    for (std::size_t i = 0; i < heap_report.schedule.size(); ++i) {
-        const ScheduledItem &h = heap_report.schedule[i];
-        const ScheduledItem &r = ref_report.schedule[i];
-        EXPECT_EQ(h.thread, r.thread) << "item " << i;
-        EXPECT_EQ(h.kind, r.kind) << "item " << i;
-        EXPECT_EQ(h.arrayIndex, r.arrayIndex) << "item " << i;
-        EXPECT_EQ(h.start, r.start) << "item " << i;
-        EXPECT_EQ(h.end, r.end) << "item " << i;
-    }
+    SimOptions options;
+    options.recordSchedule = true;
+    options.injector = injector;
+    const HostModel host;
+    const SimReport report =
+        PerfSim(config, TimingModel{}, host, options).run(shape);
+    EXPECT_TRUE(scheduleFollowsPolicy(report, options.ioLockSeconds,
+                                      host.spec().slots));
+    return report;
 }
 
 TEST(PerfSim, EventQueueMatchesReferenceScheduler)
 {
     for (const BertShape &shape :
          { smallShape(4, 64), smallShape(32, 128), smallShape(7, 256) }) {
-        expectSchedulersAgree(ProseConfig::bestPerf(), shape);
-        expectSchedulersAgree(ProseConfig::mostEfficient(), shape);
+        expectScheduleFollowsPolicy(ProseConfig::bestPerf(), shape);
+        expectScheduleFollowsPolicy(ProseConfig::mostEfficient(), shape);
     }
 }
 
 TEST(PerfSim, EventQueueMatchesReferenceUnderLinkFaults)
 {
-    // The injector draws once per dispatched accelerator task, so
-    // identical dispatch order implies an identical fault sequence.
+    // Faults stretch recorded durations (retries, timeouts); the
+    // policy must still hold over the resulting free times, and the
+    // same campaign seed must replay the same schedule.
     CampaignSpec spec;
     spec.seed = 5;
     spec.linkErrorRate = 0.05;
     spec.linkTimeoutRate = 0.02;
-    FaultInjector heap_injector(spec);
-    FaultInjector ref_injector(spec);
-    expectSchedulersAgree(ProseConfig::bestPerf(), smallShape(16, 128),
-                          &heap_injector, &ref_injector);
-    EXPECT_EQ(heap_injector.eventLogText(), ref_injector.eventLogText());
+    FaultInjector injector(spec);
+    FaultInjector replay_injector(spec);
+    const SimReport report = expectScheduleFollowsPolicy(
+        ProseConfig::bestPerf(), smallShape(16, 128), &injector);
+    const SimReport replay = expectScheduleFollowsPolicy(
+        ProseConfig::bestPerf(), smallShape(16, 128), &replay_injector);
+    EXPECT_GT(report.taskRetries, 0u);
+    EXPECT_EQ(report.makespan, replay.makespan);
+    EXPECT_EQ(injector.eventLogText(), replay_injector.eventLogText());
 }
 
 TEST(PerfSim, HeterogeneousBeatsHomogeneousAtLongLengths)

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <regex>
+#include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -67,15 +68,28 @@ TEST(Logging, ConcurrentWarnsDoNotInterleave)
     const std::string err = testing::internal::GetCapturedStderr();
 
     // Every captured line must be exactly one whole message: a single
-    // mutex-guarded write per line means no interleaved fragments.
-    const std::regex whole_line("warn: msg-[0-7]-[0-9]+");
+    // mutex-guarded write per line means no interleaved fragments. The
+    // shape is "warn: msg-<thread 0-7>-<one or more digits>".
+    const std::string prefix = "warn: msg-";
+    auto isWholeLine = [&](const std::string &line) {
+        const std::size_t tail = prefix.size() + 2;
+        if (line.size() <= tail ||
+            line.compare(0, prefix.size(), prefix) != 0)
+            return false;
+        const char tid = line[prefix.size()];
+        if (tid < '0' || tid > '7' || line[prefix.size() + 1] != '-')
+            return false;
+        return std::all_of(line.begin() + tail, line.end(), [](char c) {
+            return c >= '0' && c <= '9';
+        });
+    };
     std::size_t lines = 0, start = 0;
     while (start < err.size()) {
         std::size_t end = err.find('\n', start);
         if (end == std::string::npos)
             end = err.size();
         const std::string line = err.substr(start, end - start);
-        EXPECT_TRUE(std::regex_match(line, whole_line))
+        EXPECT_TRUE(isWholeLine(line))
             << "interleaved log line: '" << line << "'";
         ++lines;
         start = end + 1;

@@ -234,19 +234,31 @@ TEST(KernelDispatch, GemmTileBitIdenticalAcrossTiersWithStrides)
     struct Shape
     {
         std::size_t rows, cols, depth;
+        bool finite; ///< finiteSpecialVector operands, else specialVector
     };
     // Tails below/above the 8/16/32/64-lane block widths, plus strided
-    // views (stride > cols) as the fsim tile loop produces them. The
-    // last three cross the widened-B depth split (depth > 8192 / panel
-    // width), run two or more full 6-row groups plus a remainder, and
-    // span several column panels ending in a masked tail; their
-    // operands are finite so the accumulators do not all end as NaN.
-    const Shape shapes[] = { { 1, 1, 1 },    { 3, 5, 7 },
-                             { 4, 16, 8 },   { 5, 17, 9 },
-                             { 8, 33, 16 },  { 2, 64, 12 },
-                             { 3, 65, 5 },   { 6, 128, 10 },
-                             { 7, 100, 23 }, { 13, 130, 300 },
-                             { 12, 64, 129 }, { 17, 200, 1030 } };
+    // views (stride > cols) as the fsim tile loop produces them. Each
+    // shallow shape runs twice: once with the full special-value mix
+    // (NaN/Inf propagation and placement) and once with finite
+    // operands, since the mix leaves most of its accumulators NaN and
+    // would hide a wrong finite term. The last three cross the
+    // widened-B depth split (depth > 8192 / panel width), run two or
+    // more full 6-row groups plus a remainder, and span several column
+    // panels ending in a masked tail; there a NaN or Inf product is
+    // near certain, so they run with finite operands only.
+    const Shape shapes[] = {
+        { 1, 1, 1, false },       { 3, 5, 7, false },
+        { 4, 16, 8, false },      { 5, 17, 9, false },
+        { 8, 33, 16, false },     { 2, 64, 12, false },
+        { 3, 65, 5, false },      { 6, 128, 10, false },
+        { 7, 100, 23, false },    { 1, 1, 1, true },
+        { 3, 5, 7, true },        { 4, 16, 8, true },
+        { 5, 17, 9, true },       { 8, 33, 16, true },
+        { 2, 64, 12, true },      { 3, 65, 5, true },
+        { 6, 128, 10, true },     { 7, 100, 23, true },
+        { 13, 130, 300, true },   { 12, 64, 129, true },
+        { 17, 200, 1030, true },
+    };
     for (SimdTier tier : availableTiers()) {
         const KernelSet &ks = kernels::kernelsForTier(tier);
         Rng rng(99);
@@ -254,8 +266,8 @@ TEST(KernelDispatch, GemmTileBitIdenticalAcrossTiersWithStrides)
             const std::size_t aStride = s.depth + 3;
             const std::size_t bStride = s.cols + 5;
             const std::size_t cStride = s.cols + 2;
-            const auto operand = s.depth > 64 ? finiteSpecialVector
-                                              : specialVector;
+            const auto operand =
+                s.finite ? finiteSpecialVector : specialVector;
             std::vector<std::uint16_t> a =
                 quantize(operand(rng, s.rows * aStride));
             std::vector<std::uint16_t> b =
@@ -270,7 +282,7 @@ TEST(KernelDispatch, GemmTileBitIdenticalAcrossTiersWithStrides)
                              b.data(), bStride, s.rows, s.cols, s.depth);
             EXPECT_TRUE(bitsIdentical(got, want))
                 << ks.name << " gemmTileBf16 " << s.rows << "x" << s.cols
-                << "x" << s.depth;
+                << "x" << s.depth << (s.finite ? " finite" : " special");
         }
     }
 }
@@ -281,19 +293,29 @@ TEST(KernelDispatch, GemmTileF32BitIdenticalAcrossTiersWithStrides)
     struct Shape
     {
         std::size_t rows, cols, depth;
+        bool finite; ///< finiteSpecialVector operands, else specialVector
     };
     // Odd row counts exercise the register-blocked kernels' remainder
     // row; tails below/above the 8/16/32/64-lane block widths and
-    // strided views exercise the column tails; the last three run two
+    // strided views exercise the column tails. Each shallow shape runs
+    // with the full special-value mix and again with finite operands
+    // (the mix leaves most accumulators NaN). The last three run two
     // or more full 6-row groups plus a remainder over several column
     // panels ending in a masked tail, at depths up to 1030, with
-    // finite operands so the accumulators do not all end as NaN.
-    const Shape shapes[] = { { 1, 1, 1 },    { 3, 5, 7 },
-                             { 4, 16, 8 },   { 5, 17, 9 },
-                             { 8, 33, 16 },  { 2, 64, 12 },
-                             { 3, 65, 5 },   { 6, 128, 10 },
-                             { 7, 100, 23 }, { 13, 130, 300 },
-                             { 12, 64, 129 }, { 17, 200, 1030 } };
+    // finite operands only so the accumulators do not all end as NaN.
+    const Shape shapes[] = {
+        { 1, 1, 1, false },       { 3, 5, 7, false },
+        { 4, 16, 8, false },      { 5, 17, 9, false },
+        { 8, 33, 16, false },     { 2, 64, 12, false },
+        { 3, 65, 5, false },      { 6, 128, 10, false },
+        { 7, 100, 23, false },    { 1, 1, 1, true },
+        { 3, 5, 7, true },        { 4, 16, 8, true },
+        { 5, 17, 9, true },       { 8, 33, 16, true },
+        { 2, 64, 12, true },      { 3, 65, 5, true },
+        { 6, 128, 10, true },     { 7, 100, 23, true },
+        { 13, 130, 300, true },   { 12, 64, 129, true },
+        { 17, 200, 1030, true },
+    };
     for (SimdTier tier : availableTiers()) {
         const KernelSet &ks = kernels::kernelsForTier(tier);
         Rng rng(1234);
@@ -301,8 +323,8 @@ TEST(KernelDispatch, GemmTileF32BitIdenticalAcrossTiersWithStrides)
             const std::size_t aStride = s.depth + 3;
             const std::size_t bStride = s.cols + 5;
             const std::size_t cStride = s.cols + 2;
-            const auto operand = s.depth > 64 ? finiteSpecialVector
-                                              : specialVector;
+            const auto operand =
+                s.finite ? finiteSpecialVector : specialVector;
             const std::vector<float> a = operand(rng, s.rows * aStride);
             const std::vector<float> b = operand(rng, s.depth * bStride);
             const std::vector<float> c0 =
@@ -315,7 +337,7 @@ TEST(KernelDispatch, GemmTileF32BitIdenticalAcrossTiersWithStrides)
                             b.data(), bStride, s.rows, s.cols, s.depth);
             EXPECT_TRUE(bitsIdentical(got, want))
                 << ks.name << " gemmTileF32 " << s.rows << "x" << s.cols
-                << "x" << s.depth;
+                << "x" << s.depth << (s.finite ? " finite" : " special");
         }
     }
 }
