@@ -69,7 +69,7 @@ struct StreamSpec
 enum class LinkCompression : std::uint8_t
 {
     None,    ///< raw bf16 words
-    ZeroRun, ///< zero words collapse into run tokens (zero-skip reuse)
+    ZeroRun, ///< zero words collapse into run tokens
     Delta,   ///< words sharing the predecessor's high byte send 1 byte
 };
 
@@ -92,9 +92,9 @@ struct LinkSpec
     /** @name On-link compression model @{ */
     LinkCompression compression = LinkCompression::None;
     /** Share of streamed bf16 words that quantize to +-0 (ZeroRun) —
-     *  the sparsity the matmul zero-skip fast path exploits, showing
-     *  up again on the wire. A workload statistic, swept by the DSE;
-     *  the default is a conservative quarter. */
+     *  the operand sparsity of the workload as it crosses the wire. A
+     *  workload statistic, swept by the DSE; the default is a
+     *  conservative quarter. */
     double zeroFraction = 0.25;
     /** Share of words whose high byte (sign + exponent + mantissa MSB)
      *  matches their predecessor's (Delta). */

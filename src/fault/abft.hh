@@ -66,8 +66,9 @@ struct AbftTileResult
 /**
  * Zero-copy view of one bf16-quantized operand: element (i, j) is
  * data[i * stride + j], already rounded to bf16 and widened back to
- * fp32 — exactly the values the array's edge latches see (the wide
- * planes of the functional simulator's tile views).
+ * fp32 — exactly the values the array's edge latches see (the same
+ * plane a systolic TileOperand view carries; this layer keeps its own
+ * two-field view so that fault/ does not depend on systolic/).
  */
 struct AbftPlane
 {

@@ -62,7 +62,8 @@ bitsEqual(const float *a, const float *b, std::size_t n)
 /**
  * True for +0.0f and -0.0f, false for everything else (including NaN
  * and denormals). Bit-level equivalent of `value == 0.0f`, spelled so
- * the zero-skip gates read as the bit test they are.
+ * a zero guard (e.g. matDiv's divide-by-zero check) reads as the bit
+ * test it is.
  */
 inline bool
 isZeroValue(float value)

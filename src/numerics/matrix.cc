@@ -43,13 +43,6 @@ Matrix::fillGaussian(Rng &rng, float mean, float stddev)
 }
 
 void
-Matrix::fillUniform(Rng &rng, float lo, float hi)
-{
-    for (float &x : data_)
-        x = static_cast<float>(rng.uniform(lo, hi));
-}
-
-void
 Matrix::quantizeBf16InPlace()
 {
     kernels::activeKernels().quantizeRoundtripRow(
@@ -109,16 +102,6 @@ shouldPool(std::size_t macs)
     if (lanes <= 1)
         return false;
     return macs >= kMinMacsPerLane * lanes;
-}
-
-/** Finiteness of a bf16-bits plane (exponent field not all-ones). */
-bool
-allFiniteBits(const std::uint16_t *bits, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        if ((bits[i] & 0x7f80u) == 0x7f80u)
-            return false;
-    return true;
 }
 
 /**
@@ -201,12 +184,11 @@ matmulBits(const std::uint16_t *a_bits, std::size_t m, std::size_t depth,
 void
 QuantizedOperand::update(const Matrix &source)
 {
-    const kernels::KernelSet &ks = kernels::activeKernels();
     bits_.resize(source.size());
-    ks.quantizeBitsRow(bits_.data(), source.data(), source.size());
-    bf16_ = Matrix(source.rows(), source.cols());
-    ks.widenRow(bf16_.data(), bits_.data(), bits_.size());
-    allFinite_ = allFiniteBits(bits_.data(), bits_.size());
+    kernels::activeKernels().quantizeBitsRow(bits_.data(), source.data(),
+                                             source.size());
+    rows_ = source.rows();
+    cols_ = source.cols();
     ++version_;
 }
 
@@ -248,15 +230,13 @@ Matrix
 matmulBf16(const Matrix &a, const QuantizedOperand &b)
 {
     PROSE_ASSERT(!b.empty(), "matmulBf16 against an empty cached operand");
-    PROSE_ASSERT(a.cols() == b.bf16().rows(),
-                 "matmulBf16 inner-dim mismatch");
+    PROSE_ASSERT(a.cols() == b.rows(), "matmulBf16 inner-dim mismatch");
     const kernels::KernelSet &ks = kernels::activeKernels();
     Arena &arena = Arena::threadLocal();
     Arena::Scope scope(arena);
     std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
     ks.quantizeBitsRow(qa, a.data(), a.size());
-    return matmulBits(qa, a.rows(), a.cols(), b.bits().data(),
-                      b.bf16().cols());
+    return matmulBits(qa, a.rows(), a.cols(), b.bits().data(), b.cols());
 }
 
 Matrix

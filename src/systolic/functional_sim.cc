@@ -49,32 +49,27 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
     }
     const std::size_t s = array.geometry().dim;
 
-    // Quantize each whole operand once into per-thread arena scratch;
-    // every tile below is a zero-copy view into these planes. Before
-    // this, A was re-quantized for every column tile and B for every
-    // row tile (ceil(n/s) and ceil(m/s) times over), with two Matrix
-    // allocations per tile on top.
-    const kernels::KernelSet &ks = kernels::activeKernels();
-    Arena &arena = Arena::threadLocal();
-    Arena::Scope scope(arena);
-    std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
-    ks.quantizeBitsRow(qa, a.data(), a.size());
-    std::uint16_t *qb = arena.alloc<std::uint16_t>(b.size());
-    ks.quantizeBitsRow(qb, b.data(), b.size());
-
-    // Pre-widen the quantized planes back to fp32 (exact: bits << 16)
-    // so every tile visit runs on pure fp32 planes instead of
-    // re-widening its panels into per-tile scratch — the A panel alone
-    // would otherwise be re-widened once per column tile. A is widened
-    // in place as one contiguous plane; B is compacted one column panel
-    // at a time (below), because the fast engine's GEMM core would
-    // otherwise stride through the full row pitch and thrash the DTLB
-    // on wide operands. Both engines consume these: the fast GEMM core
+    // Quantize each operand once into per-thread arena scratch; every
+    // tile below is a zero-copy view into these planes, so A is not
+    // re-quantized for every column tile nor B for every row tile
+    // (ceil(n/s) and ceil(m/s) times over), and no tile allocates.
+    //
+    // One pass (quantizeRoundtripRow) rounds each element to bf16 and
+    // widens it straight back to fp32: the planes hold exactly what the
+    // edge latches hold (the TileOperand invariant), and every tile
+    // visit runs on them with no per-tile widening. A is one contiguous
+    // plane; B is round-tripped one compact column panel at a time
+    // (below), because the fast engine's GEMM core would otherwise
+    // stride through the full row pitch and thrash the DTLB on wide
+    // operands. Both engines consume these: the fast GEMM core
     // directly, the diagonal-batched stepped engine through its
     // transposed/reversed wavefront planes — and so does the ABFT
     // checker, which reads its checksums straight off them.
+    const kernels::KernelSet &ks = kernels::activeKernels();
+    Arena &arena = Arena::threadLocal();
+    Arena::Scope scope(arena);
     float *wa = arena.alloc<float>(a.size());
-    ks.widenRow(wa, qa, a.size());
+    ks.quantizeRoundtripRow(wa, a.data(), a.size());
     float *wpb = arena.alloc<float>(k * std::min(s, n));
 
     // Column tiles outer, row tiles inner: the B column panel (k x s)
@@ -88,13 +83,11 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
     Matrix c(m, n);
     for (std::size_t tn = 0; tn < n; tn += s) {
         const std::size_t cols = std::min(s, n - tn);
-        // Compact-widen this B column panel once; every row tile below
-        // reuses it.
+        // Round-trip this B column panel compactly once; every row tile
+        // below reuses it.
         for (std::size_t r = 0; r < k; ++r)
-            ks.widenRow(wpb + r * cols, qb + r * n + tn, cols);
-        const TileOperand b_view{ b.data() + tn,  n, qb + tn, n,
-                                  k,              cols,
-                                  wpb,            cols };
+            ks.quantizeRoundtripRow(wpb + r * cols, b.row(r) + tn, cols);
+        const TileOperand b_view{ wpb, cols, k, cols };
         // The B panel's checksums serve every row tile below.
         AbftPanelChecksums b_checksums;
         if (abft_.options().enabled)
@@ -102,9 +95,7 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
                                                       cols);
         for (std::size_t tm = 0; tm < m; tm += s) {
             const std::size_t rows = std::min(s, m - tm);
-            const TileOperand a_view{ a.row(tm),   k, qa + tm * k, k,
-                                      rows,        k,
-                                      wa + tm * k, k };
+            const TileOperand a_view{ wa + tm * k, k, rows, k };
 
             // Stream the full-k tile product into the accumulators.
             array.matmulTile(a_view, b_view);
@@ -115,8 +106,9 @@ FunctionalSimulator::runFused(SystolicArray &array, const Matrix &a,
             // located cells through the accumulator write port.
             if (abft_.options().enabled) {
                 const AbftTileResult verdict = abft_.checkTile(
-                    { a_view.wide, k }, { wpb, cols }, b_checksums,
-                    array.accumulatorData(), s, rows, cols, k);
+                    { a_view.data, a_view.stride }, { wpb, cols },
+                    b_checksums, array.accumulatorData(), s, rows, cols,
+                    k);
                 for (std::size_t f = 0; f < verdict.corrected.size(); ++f)
                     array.overwriteAccumulator(verdict.corrected[f].first,
                                                verdict.corrected[f].second,

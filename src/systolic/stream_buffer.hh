@@ -77,9 +77,6 @@ class StreamBuffer
     /** Capacity in entries. */
     double depth() const { return depth_; }
 
-    /** Configured uniform supply rate (entries per cycle). */
-    double supplyRate() const { return supplyRate_; }
-
     /** @name Fill profiles and fast-forward support @{ */
 
     /**

@@ -214,15 +214,12 @@ SystolicArray::matmulTile(const Matrix &a, const Matrix &b)
     const kernels::KernelSet &ks = kernels::activeKernels();
     Arena &arena = Arena::threadLocal();
     Arena::Scope scope(arena);
-    std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
-    ks.quantizeBitsRow(qa, a.data(), a.size());
-    std::uint16_t *qb = arena.alloc<std::uint16_t>(b.size());
-    ks.quantizeBitsRow(qb, b.data(), b.size());
-    const TileOperand ta{ a.data(), a.cols(), qa,
-                          a.cols(), a.rows(), a.cols() };
-    const TileOperand tb{ b.data(), b.cols(), qb,
-                          b.cols(), b.rows(), b.cols() };
-    return matmulTile(ta, tb);
+    float *wa = arena.alloc<float>(a.size());
+    ks.quantizeRoundtripRow(wa, a.data(), a.size());
+    float *wb = arena.alloc<float>(b.size());
+    ks.quantizeRoundtripRow(wb, b.data(), b.size());
+    return matmulTile(TileOperand{ wa, a.cols(), a.rows(), a.cols() },
+                      TileOperand{ wb, b.cols(), b.rows(), b.cols() });
 }
 
 std::uint64_t
@@ -244,13 +241,14 @@ SystolicArray::steppedMatmulTile(const TileOperand &a, const TileOperand &b)
     // sequence. Walking d outer and k' inner ascending replays, for
     // every accumulator, exactly the scalar walk's ascending-k' MAC
     // order — each product and sum rounds separately in the kernels
-    // (-ffp-contract=off, no FMA), and widen(bf16 bits) equals what the
-    // scalar walk's edge latch quantizes, by the TileOperand invariant.
+    // (-ffp-contract=off, no FMA), and the widened operand planes hold
+    // what the scalar walk's edge latch quantizes, by the TileOperand
+    // invariant.
     //
     // Structure-of-arrays planes (per-thread arena scratch) make each
     // (d, k') sweep one contiguous elementwise MAC row:
-    //   aT[k'*rows + i]          = widen(A bits (i, k'))    (k-major)
-    //   bR[k'*cols + cols-1-j]   = widen(B bits (k', j))    (reversed)
+    //   aT[k'*rows + i]          = A(i, k')                 (k-major)
+    //   bR[k'*cols + cols-1-j]   = B(k', j)                 (reversed)
     //   accD[diagBase(d) + t]    = acc(i0(d)+t, d-i0(d)-t)  (diag-major)
     // On diagonal d, element t has i = i0 + t and j = d - i0 - t, so
     // its A value lives at aT offset t and its B value at bR offset t
@@ -259,34 +257,19 @@ SystolicArray::steppedMatmulTile(const TileOperand &a, const TileOperand &b)
     Arena &arena = Arena::threadLocal();
     Arena::Scope scope(arena);
 
-    const float *awide = a.wide;
-    std::size_t awstride = a.wideStride;
-    if (!awide) {
-        float *scratch = arena.alloc<float>(rows * k_depth);
-        for (std::size_t i = 0; i < rows; ++i)
-            ks.widenRow(scratch + i * k_depth,
-                        a.bf16 + i * a.bf16Stride, k_depth);
-        awide = scratch;
-        awstride = k_depth;
-    }
     float *aT = arena.alloc<float>(k_depth * rows);
     for (std::size_t k = 0; k < k_depth; ++k) {
         float *dst = aT + k * rows;
         for (std::size_t i = 0; i < rows; ++i)
-            dst[i] = awide[i * awstride + k];
+            dst[i] = a.data[i * a.stride + k];
     }
 
     float *bR = arena.alloc<float>(k_depth * cols);
     for (std::size_t k = 0; k < k_depth; ++k) {
         float *row = bR + k * cols;
-        if (b.wide) {
-            const float *src = b.wide + k * b.wideStride;
-            for (std::size_t j = 0; j < cols; ++j)
-                row[cols - 1 - j] = src[j];
-        } else {
-            ks.widenRow(row, b.bf16 + k * b.bf16Stride, cols);
-            std::reverse(row, row + cols);
-        }
+        const float *src = b.data + k * b.stride;
+        for (std::size_t j = 0; j < cols; ++j)
+            row[cols - 1 - j] = src[j];
     }
 
     // Gather the tile's accumulators diag-major, sweep, scatter back.
@@ -344,27 +327,21 @@ SystolicArray::fastMatmulTile(const TileOperand &a, const TileOperand &b)
     // k' + i + j, so its MACs execute in ascending-k' order — the GEMM
     // microkernel performs the identical sequence of fp32 operations
     // per accumulator (it vectorizes across independent j lanes only),
-    // streaming the pre-quantized bf16 bit planes with no per-tile
-    // copy or re-quantization. widen(bits) == what the stepped edge
-    // latch computes, by the TileOperand invariant.
+    // streaming the caller's widened bf16 planes with no per-tile copy
+    // or re-quantization; they hold what the stepped edge latch
+    // computes, by the TileOperand invariant.
+    //
+    // The fp32 core runs depth-blocked so the live B panel (kb * cols *
+    // 4 B = 32 KiB) stays L1-resident across the core's row groups.
+    // Ascending kb preserves the per-accumulator ascending-k' MAC order
+    // exactly.
     const kernels::KernelSet &ks = kernels::activeKernels();
-    if (a.wide && b.wide) {
-        // Pre-widened planes: run the fp32 core, blocking the depth so
-        // the live B panel (kb * cols * 4 B = 32 KiB) stays L1-resident
-        // across the core's row groups. Ascending kb preserves the
-        // per-accumulator ascending-k' MAC order exactly.
-        const std::size_t kb_step =
-            std::max<std::size_t>(64, (32 * 1024 / sizeof(float)) /
-                                          std::max<std::size_t>(cols, 1));
-        for (std::size_t kb = 0; kb < k_depth; kb += kb_step) {
-            const std::size_t kd = std::min(kb_step, k_depth - kb);
-            ks.gemmTileF32(acc_.data(), n, a.wide + kb, a.wideStride,
-                           b.wide + kb * b.wideStride, b.wideStride,
-                           rows, cols, kd);
-        }
-    } else {
-        ks.gemmTileBf16(acc_.data(), n, a.bf16, a.bf16Stride, b.bf16,
-                        b.bf16Stride, rows, cols, k_depth);
+    const std::size_t kb_step =
+        std::max<std::size_t>(64, (32 * 1024 / sizeof(float)) / cols);
+    for (std::size_t kb = 0; kb < k_depth; kb += kb_step) {
+        const std::size_t kd = std::min(kb_step, k_depth - kb);
+        ks.gemmTileF32(acc_.data(), n, a.data + kb, a.stride,
+                       b.data + kb * b.stride, b.stride, rows, cols, kd);
     }
     macCount_ += static_cast<std::uint64_t>(rows) * cols * k_depth;
 

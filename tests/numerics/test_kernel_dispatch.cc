@@ -179,6 +179,16 @@ TEST(KernelDispatch, RowKernelsBitIdenticalAcrossTiers)
             EXPECT_TRUE(bitsIdentical(inplace, want))
                 << ks.name << " quantizeRoundtripRow in-place n=" << n;
 
+            // The systolic operand planes are quantizeRoundtripRow
+            // output, standing in for widen(quantizeBitsRow(x)): the
+            // two must agree on every tier, AVX512-BF16 convert
+            // included.
+            std::vector<float> widened(n, 0.0f);
+            ks.widenRow(widened.data(), qgot.data(), n);
+            EXPECT_TRUE(bitsIdentical(got, widened))
+                << ks.name << " quantizeRoundtripRow vs widen(quantizeBitsRow)"
+                << " n=" << n;
+
             // truncateRow
             got.assign(n, 0.0f);
             want.assign(n, 0.0f);
