@@ -86,7 +86,7 @@ main()
                         TwoLevelLut::BoundaryPolicy::ExpLike);
         const std::size_t bytes = gelu.storageBytes() +
                                   exp.storageBytes();
-        model.setSpecialFunctionLuts(std::move(gelu), std::move(exp));
+        model.setSpecialFunctionLuts(gelu, exp);
 
         const Matrix fp32 =
             model.forward(batch, NumericsMode::Fp32).hidden;

@@ -41,23 +41,21 @@ BertModel::BertModel(const BertConfig &config, std::uint64_t seed)
 
 BertModel::BertModel(const BertConfig &config, BertWeights weights)
     : config_(config), weights_(std::move(weights)),
-      geluLut_(TwoLevelLut::makeGelu()), expLut_(TwoLevelLut::makeExp())
+      geluFlatBits_(TwoLevelLut::makeGelu().flattenToFloatBits()),
+      expFlatBits_(TwoLevelLut::makeExp().flattenToFloatBits())
 {
     config_.validate();
     PROSE_ASSERT(weights_.layers.size() == config_.layers,
                  "weights/config layer-count mismatch");
     rebuildWeightCache();
-    geluFlatBits_ = geluLut_.flattenToFloatBits();
-    expFlatBits_ = expLut_.flattenToFloatBits();
 }
 
 void
-BertModel::setSpecialFunctionLuts(TwoLevelLut gelu, TwoLevelLut exp)
+BertModel::setSpecialFunctionLuts(const TwoLevelLut &gelu,
+                                  const TwoLevelLut &exp)
 {
-    geluLut_ = std::move(gelu);
-    expLut_ = std::move(exp);
-    geluFlatBits_ = geluLut_.flattenToFloatBits();
-    expFlatBits_ = expLut_.flattenToFloatBits();
+    geluFlatBits_ = gelu.flattenToFloatBits();
+    expFlatBits_ = exp.flattenToFloatBits();
 }
 
 void

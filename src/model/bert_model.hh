@@ -101,7 +101,8 @@ class BertModel
      * validated that these truncation policies do not affect the
      * accuracy of the models we study").
      */
-    void setSpecialFunctionLuts(TwoLevelLut gelu, TwoLevelLut exp);
+    void setSpecialFunctionLuts(const TwoLevelLut &gelu,
+                                const TwoLevelLut &exp);
 
     /**
      * Replace all encoder weights (the checkpoint-reload path, mirroring
@@ -163,15 +164,14 @@ class BertModel
 
     BertConfig config_;
     BertWeights weights_;
-    TwoLevelLut geluLut_;
-    TwoLevelLut expLut_;
     /**
-     * Flat 65536-entry gather tables of the two LUTs (bf16 bit pattern
-     * -> fp32 bit pattern), rebuilt whenever the LUTs change. The
-     * Bf16Lut GELU/Exp sweeps run through kernels::lutRow against
-     * these; flattenToFloatBits makes a flat read bit-exact with the
-     * two-level read by construction, so the vectorized sweeps match
-     * the scalar lookupFloat path on every SIMD tier.
+     * Flat 65536-entry gather tables of the GELU and Exp LUTs (bf16 bit
+     * pattern -> fp32 bit pattern), rebuilt whenever the LUTs change;
+     * the two-level tables themselves are not kept. The Bf16Lut
+     * GELU/Exp sweeps run through kernels::lutRow against these;
+     * flattenToFloatBits makes a flat read bit-exact with the two-level
+     * read by construction, so the vectorized sweeps match the scalar
+     * lookupFloat path on every SIMD tier.
      */
     std::vector<std::uint32_t> geluFlatBits_;
     std::vector<std::uint32_t> expFlatBits_;

@@ -4,10 +4,10 @@
  *
  * A KernelSet is a table of function pointers covering the inner loops
  * that dominate the profile: the register-blocked fp32 GEMM tile behind
- * the tiled matmul and the fast-forward systolic engine, its bf16 twin
- * behind the cached-weight model path, the wavefront MAC row of the
- * diagonal-batched engine, the bf16<->fp32 conversion sweeps, and the
- * per-row SIMD-unit/softmax epilogues. Three tiers are provided —
+ * the tiled fp32 and bf16 matmuls and the fast-forward systolic engine
+ * (bf16 operands reach it already widened), the wavefront MAC row of
+ * the diagonal-batched engine, the bf16<->fp32 conversion sweeps, and
+ * the per-row SIMD-unit/softmax epilogues. Three tiers are provided —
  * scalar (the reference), AVX2, and AVX-512 (which picks up the
  * AVX512-BF16 convert instruction when the CPU has it) — selected once
  * at startup by CPUID and overridable with PROSE_SIMD.
@@ -60,9 +60,8 @@ namespace prose::kernels {
  * rows are contiguous; strides are in elements, not bytes.
  *
  * bf16 values travel as raw uint16_t bit patterns (the top half of the
- * IEEE-754 binary32 encoding) so tiles can be stored as compact
- * structure-of-arrays planes; widening shifts the bits left 16 and is
- * exact.
+ * IEEE-754 binary32 encoding) so cached weights can be stored at 2
+ * bytes each; widening shifts the bits left 16 and is exact.
  */
 struct KernelSet
 {
@@ -79,35 +78,20 @@ struct KernelSet
                          std::size_t n);
 
     /**
-     * acc[i][j] += sum_k widen(a[i][k]) * widen(b[k][j]), accumulated
-     * per output element in ascending-k order — the bf16 matmul's GEMM
-     * (matmulBf16), which streams the cached weights as 2-byte bits
-     * for bandwidth and widens them in the kernel. The systolic
-     * engines do not call it: their operand views are already widened.
-     * `acc` is rows x cols with row stride accStride; `a` is rows x
-     * depth (stride aStride); `b` is depth x cols (stride bStride).
-     * Every element is MAC'd — no zero skipping — matching the stepped
-     * wavefront, which fires every PE with two valid operands (so
-     * +-0 * Inf still produces NaN). The bits path funnels its cache
-     * blocks here and relies on `acc += ±0 · finite` being an exact
-     * no-op on accumulators that are never -0.
-     */
-    void (*gemmTileBf16)(float *acc, std::size_t accStride,
-                         const std::uint16_t *a, std::size_t aStride,
-                         const std::uint16_t *b, std::size_t bStride,
-                         std::size_t rows, std::size_t cols,
-                         std::size_t depth);
-
-    /**
      * acc[i][j] += sum_k a[i][k] * b[k][j] in ascending-k order per
-     * output element — the fp32 twin of gemmTileBf16, behind the tiled
-     * matmul's cache blocks and the fast-forward systolic engine (on
-     * widened bf16 operand planes). Accumulators live in registers
-     * across the whole depth loop (the MAC-row formulation round-trips
-     * the acc row through memory on every k step, which is the dominant
-     * cost for fp32 GEMM). Like the bf16 tile, every element is MAC'd;
-     * the tiled matmul relies on `acc += ±0 · finite` being an exact
-     * no-op on accumulators that are never -0.
+     * output element — the one GEMM kernel, behind the tiled matmuls'
+     * cache blocks (matmulBf16 hands it bf16-rounded A and widened B
+     * blocks) and the fast-forward systolic engine (on widened bf16
+     * operand planes). `acc` is rows x cols with row stride accStride;
+     * `a` is rows x depth (stride aStride); `b` is depth x cols (stride
+     * bStride). Accumulators live in registers across the whole depth
+     * loop (the MAC-row formulation round-trips the acc row through
+     * memory on every k step, which is the dominant cost for fp32
+     * GEMM). Every element is MAC'd — no zero skipping — matching the
+     * stepped wavefront, which fires every PE with two valid operands
+     * (so +-0 * Inf still produces NaN); the tiled matmuls rely on
+     * `acc += ±0 · finite` being an exact no-op on accumulators that
+     * are never -0.
      */
     void (*gemmTileF32)(float *acc, std::size_t accStride,
                         const float *a, std::size_t aStride,

@@ -19,7 +19,7 @@
  * scalar tier's translation unit (built for the baseline ISA) instead
  * of inlining Bfloat16::roundFromFloat, and the chunk length is a plain
  * comparison rather than std::min: the object exports only
- * quantizeBitsRowAvx512Bf16 (check with `nm -C`).
+ * quantizeBitsRowAvx512Bf16 (the kernel_tier_symbols ctest checks).
  */
 
 #include "kernel_tiers.hh"

@@ -20,36 +20,12 @@ namespace prose::kernels {
 
 namespace {
 
-inline float
-widenBits(std::uint16_t bits)
-{
-    return Bfloat16::fromBits(bits).toFloat();
-}
-
 void
 mulAccRowF32Scalar(float *c, const float *a, const float *b,
                    std::size_t n)
 {
     for (std::size_t j = 0; j < n; ++j)
         c[j] += a[j] * b[j];
-}
-
-void
-gemmTileBf16Scalar(float *acc, std::size_t accStride,
-                   const std::uint16_t *a, std::size_t aStride,
-                   const std::uint16_t *b, std::size_t bStride,
-                   std::size_t rows, std::size_t cols, std::size_t depth)
-{
-    for (std::size_t i = 0; i < rows; ++i) {
-        const std::uint16_t *arow = a + i * aStride;
-        float *crow = acc + i * accStride;
-        for (std::size_t k = 0; k < depth; ++k) {
-            const float av = widenBits(arow[k]);
-            const std::uint16_t *brow = b + k * bStride;
-            for (std::size_t j = 0; j < cols; ++j)
-                crow[j] += av * widenBits(brow[j]);
-        }
-    }
 }
 
 void
@@ -81,7 +57,7 @@ void
 widenRowScalar(float *dst, const std::uint16_t *src, std::size_t n)
 {
     for (std::size_t j = 0; j < n; ++j)
-        dst[j] = widenBits(src[j]);
+        dst[j] = Bfloat16::fromBits(src[j]).toFloat();
 }
 
 void
@@ -152,7 +128,6 @@ scalarKernelSet()
     static const KernelSet set = {
         "scalar",
         mulAccRowF32Scalar,
-        gemmTileBf16Scalar,
         gemmTileF32Scalar,
         quantizeBitsRowScalar,
         widenRowScalar,

@@ -282,11 +282,9 @@ gemmPanel(float *cj, std::size_t accStride, const float *a,
 }
 
 /**
- * The shared fp32 GEMM core behind both tile kernels (the bf16 tile
- * funnels here after exact operand widening into scratch): whole panels
- * of NV vectors run under V::full(); a partial last panel recurses to
- * the smallest NV that covers it, its last vector masked to the live
- * columns.
+ * The fp32 GEMM tile: whole panels of NV vectors run under V::full();
+ * a partial last panel recurses to the smallest NV that covers it, its
+ * last vector masked to the live columns.
  */
 template <class V, int NV = V::kBlockVecs>
 void
@@ -322,76 +320,6 @@ gemmTileF32(float *acc, std::size_t accStride, const float *a,
                                        b + jb, bStride, rows, depth, masks);
 }
 
-/** Grow-only fp32 buffer for the bf16 tile's widened operands. Not a
- *  std::vector, whose out-of-line members would be weak symbols built
- *  for this tier's ISA; as a template over V it is TU-local. */
-template <class V>
-struct Scratch
-{
-    float *data = nullptr;
-    std::size_t capacity = 0;
-
-    Scratch() = default;
-    Scratch(const Scratch &) = delete;
-    Scratch &operator=(const Scratch &) = delete;
-    ~Scratch() { delete[] data; }
-
-    float *
-    reserve(std::size_t n)
-    {
-        if (n > capacity) {
-            float *grown = new float[n];
-            delete[] data;
-            data = grown;
-            capacity = n;
-        }
-        return data;
-    }
-};
-
-template <class V>
-void
-gemmTileBf16(float *acc, std::size_t accStride, const std::uint16_t *a,
-             std::size_t aStride, const std::uint16_t *b,
-             std::size_t bStride, std::size_t rows, std::size_t cols,
-             std::size_t depth)
-{
-    // Widen both operands to fp32 scratch once, then run the shared
-    // register-blocked fp32 core. Widening is exact (bits << 16), so
-    // the arithmetic — and each accumulator's ascending-k op order —
-    // is identical to widening inline; hoisting it out of the row
-    // blocks removes the per-block repeat of the conversion work and
-    // the scalar widen feeding every A broadcast, which together
-    // dominate the inline formulation. Thread-local scratch: no
-    // allocation churn after warmup, no sharing between pool lanes.
-    static thread_local Scratch<V> a_scratch;
-    static thread_local Scratch<V> b_scratch;
-    float *aw = a_scratch.reserve(rows * depth);
-    for (std::size_t i = 0; i < rows; ++i)
-        widenRow<V>(aw + i * depth, a + i * aStride, depth);
-    // Block the depth so the widened B panel (kKB * live * 4 B = 32 KiB)
-    // stays L1-resident across its per-row-group re-reads; deep tiles
-    // (e.g. 64x64x3072 FFN-down) would otherwise stream a 768 KiB panel
-    // from L2/L3 once per row group. The extra C-tile round trips per
-    // k-block are amortized over the whole panel. Ascending kb +
-    // ascending k inside the core keeps the per-element fp32 order
-    // exactly scalar.
-    constexpr std::size_t kPanel = V::kLanes * V::kBlockVecs;
-    for (std::size_t jb = 0; jb < cols; jb += kPanel) {
-        const std::size_t live = cols - jb < kPanel ? cols - jb : kPanel;
-        const std::size_t kKB = (32 * 1024 / sizeof(float)) / live;
-        float *bw = b_scratch.reserve((depth < kKB ? depth : kKB) * live);
-        for (std::size_t kb = 0; kb < depth; kb += kKB) {
-            const std::size_t kd = depth - kb < kKB ? depth - kb : kKB;
-            for (std::size_t k = 0; k < kd; ++k)
-                widenRow<V>(bw + k * live, b + (kb + k) * bStride + jb,
-                            live);
-            gemmTileF32<V>(acc + jb, accStride, aw + kb, depth, bw, live,
-                           rows, live, kd);
-        }
-    }
-}
-
 /** The tier's KernelSet: every entry is an instantiation over V. */
 template <class V>
 KernelSet
@@ -400,7 +328,6 @@ makeKernelSet(const char *name)
     return {
         name,
         mulAccRowF32<V>,
-        gemmTileBf16<V>,
         gemmTileF32<V>,
         quantizeBitsRow<V>,
         widenRow<V>,

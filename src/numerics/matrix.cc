@@ -104,6 +104,18 @@ shouldPool(std::size_t macs)
     return macs >= kMinMacsPerLane * lanes;
 }
 
+/** rows(r0, r1) over [0, m): inline, or split across the pool when
+ *  `macs` of work is worth it. */
+template <class Rows>
+void
+forRowChunks(std::size_t m, std::size_t macs, Rows &&rows)
+{
+    if (shouldPool(macs))
+        ThreadPool::global().parallelFor(m, rows);
+    else
+        rows(0, m);
+}
+
 /**
  * Rows [r0, r1) of C += A x B, blocked over k and j for cache reuse and
  * handed to the dispatched register-tiled GEMM kernel per (k, j) block.
@@ -137,46 +149,38 @@ matmulRows(const Matrix &a, const Matrix &b, Matrix &c, std::size_t r0,
 }
 
 /**
- * The bits twin of matmulRows: same blocking, same ascending-k order,
- * but A and B are bf16 bit planes and the (exact) widening to fp32
- * happens inside the GEMM tile kernel. Bit-identical to running
- * matmulRows on the widened operands, including the unconditional MAC
- * of +-0 A entries (see matmulRows).
+ * The bf16 twin of matmulRows: same blocks, same ascending-k order,
+ * same fp32 GEMM core. Each k block of A's rows is rounded to bf16
+ * (held as fp32) once, and each (k, j) block of B's cached bits is
+ * widened into an L1-sized scratch block, both in this thread's arena.
+ * Widening is exact, so this is bit-identical to matmulRows on the
+ * round-tripped operands.
  */
 void
-matmulRowsBits(const std::uint16_t *a_bits, const std::uint16_t *b_bits,
-               Matrix &c, std::size_t r0, std::size_t r1,
-               std::size_t depth)
+matmulRowsBf16(const Matrix &a, const QuantizedOperand &b, Matrix &c,
+               std::size_t r0, std::size_t r1)
 {
     const kernels::KernelSet &ks = kernels::activeKernels();
-    const std::size_t n = c.cols();
+    const std::size_t rows = r1 - r0;
+    const std::size_t depth = a.cols();
+    const std::size_t n = b.cols();
+    const std::uint16_t *bits = b.bits().data();
+    Arena &arena = Arena::threadLocal();
+    Arena::Scope scope(arena);
+    float *ak = arena.alloc<float>(rows * std::min(depth, kKBlock));
+    float *bkj = arena.alloc<float>(kKBlock * kJBlock);
     for (std::size_t kb = 0; kb < depth; kb += kKBlock) {
-        const std::size_t k_end = std::min(depth, kb + kKBlock);
+        const std::size_t kd = std::min(depth - kb, kKBlock);
+        for (std::size_t i = 0; i < rows; ++i)
+            ks.quantizeRoundtripRow(ak + i * kd, a.row(r0 + i) + kb, kd);
         for (std::size_t jb = 0; jb < n; jb += kJBlock) {
-            const std::size_t j_end = std::min(n, jb + kJBlock);
-            ks.gemmTileBf16(c.row(r0) + jb, n,
-                            a_bits + r0 * depth + kb, depth,
-                            b_bits + kb * n + jb, n, r1 - r0,
-                            j_end - jb, k_end - kb);
+            const std::size_t jd = std::min(n - jb, kJBlock);
+            for (std::size_t k = 0; k < kd; ++k)
+                ks.widenRow(bkj + k * jd, bits + (kb + k) * n + jb, jd);
+            ks.gemmTileF32(c.row(r0) + jb, n, ak, kd, bkj, jd, rows, jd,
+                           kd);
         }
     }
-}
-
-/** C = widen(A) x widen(B) over bf16 bit planes, pooled when big. */
-Matrix
-matmulBits(const std::uint16_t *a_bits, std::size_t m, std::size_t depth,
-           const std::uint16_t *b_bits, std::size_t n)
-{
-    Matrix c(m, n);
-    if (!shouldPool(m * depth * n)) {
-        matmulRowsBits(a_bits, b_bits, c, 0, m, depth);
-        return c;
-    }
-    ThreadPool::global().parallelFor(
-        m, [&](std::size_t r0, std::size_t r1) {
-            matmulRowsBits(a_bits, b_bits, c, r0, r1, depth);
-        });
-    return c;
 }
 
 } // namespace
@@ -198,45 +202,30 @@ matmul(const Matrix &a, const Matrix &b)
     PROSE_ASSERT(a.cols() == b.rows(), "matmul inner-dim mismatch: ",
                  a.cols(), " vs ", b.rows());
     Matrix c(a.rows(), b.cols());
-    if (!shouldPool(a.rows() * a.cols() * b.cols())) {
-        matmulRows(a, b, c, 0, a.rows());
-        return c;
-    }
-    ThreadPool::global().parallelFor(
-        a.rows(), [&](std::size_t r0, std::size_t r1) {
-            matmulRows(a, b, c, r0, r1);
-        });
+    forRowChunks(a.rows(), a.rows() * a.cols() * b.cols(),
+                 [&](std::size_t r0, std::size_t r1) {
+                     matmulRows(a, b, c, r0, r1);
+                 });
     return c;
 }
 
 Matrix
 matmulBf16(const Matrix &a, const Matrix &b)
 {
-    PROSE_ASSERT(a.cols() == b.rows(), "matmulBf16 inner-dim mismatch");
-    // Quantize both operands once up front (what streaming bf16 inputs
-    // see) into per-thread arena scratch — compact bit planes, no heap
-    // churn — then accumulate in fp32 like the 32-bit PE accumulators.
-    const kernels::KernelSet &ks = kernels::activeKernels();
-    Arena &arena = Arena::threadLocal();
-    Arena::Scope scope(arena);
-    std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
-    ks.quantizeBitsRow(qa, a.data(), a.size());
-    std::uint16_t *qb = arena.alloc<std::uint16_t>(b.size());
-    ks.quantizeBitsRow(qb, b.data(), b.size());
-    return matmulBits(qa, a.rows(), a.cols(), qb, b.cols());
+    return matmulBf16(a, QuantizedOperand(b));
 }
 
 Matrix
 matmulBf16(const Matrix &a, const QuantizedOperand &b)
 {
-    PROSE_ASSERT(!b.empty(), "matmulBf16 against an empty cached operand");
+    // A never-updated operand is 0x0, so this also rejects it.
     PROSE_ASSERT(a.cols() == b.rows(), "matmulBf16 inner-dim mismatch");
-    const kernels::KernelSet &ks = kernels::activeKernels();
-    Arena &arena = Arena::threadLocal();
-    Arena::Scope scope(arena);
-    std::uint16_t *qa = arena.alloc<std::uint16_t>(a.size());
-    ks.quantizeBitsRow(qa, a.data(), a.size());
-    return matmulBits(qa, a.rows(), a.cols(), b.bits().data(), b.cols());
+    Matrix c(a.rows(), b.cols());
+    forRowChunks(a.rows(), a.rows() * a.cols() * b.cols(),
+                 [&](std::size_t r0, std::size_t r1) {
+                     matmulRowsBf16(a, b, c, r0, r1);
+                 });
+    return c;
 }
 
 Matrix
@@ -350,19 +339,13 @@ bmm(const std::vector<Matrix> &a, const std::vector<Matrix> &b)
     std::size_t total_macs = 0;
     for (std::size_t i = 0; i < a.size(); ++i)
         total_macs += a[i].rows() * a[i].cols() * b[i].cols();
-    if (!shouldPool(total_macs)) {
-        for (std::size_t i = 0; i < a.size(); ++i)
+    // Batch elements are independent; when pooled, the per-element
+    // matmuls run inline inside the parallel region (nested calls never
+    // re-enter the pool).
+    forRowChunks(a.size(), total_macs, [&](std::size_t b0, std::size_t b1) {
+        for (std::size_t i = b0; i < b1; ++i)
             c[i] = matmul(a[i], b[i]);
-        return c;
-    }
-    // Batch elements are independent; the per-element matmuls run
-    // inline inside this parallel region (nested calls never re-enter
-    // the pool).
-    ThreadPool::global().parallelFor(
-        a.size(), [&](std::size_t b0, std::size_t b1) {
-            for (std::size_t i = b0; i < b1; ++i)
-                c[i] = matmul(a[i], b[i]);
-        });
+    });
     return c;
 }
 

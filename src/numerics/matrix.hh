@@ -80,8 +80,8 @@ class Matrix
  * which is how cache-invalidation tests observe a reload.
  *
  * Storage is the compact bf16 bit pattern alone (2 bytes per weight,
- * half the fp32 footprint): the GEMM kernel widens it in registers as
- * it streams, so no fp32 copy of the weights is kept.
+ * half the fp32 footprint): the host GEMM widens one L1-sized block at
+ * a time into scratch, so no fp32 copy of the weights is kept.
  */
 class QuantizedOperand
 {
@@ -132,9 +132,9 @@ Matrix matmul(const Matrix &a, const Matrix &b);
 Matrix matmulBf16(const Matrix &a, const Matrix &b);
 
 /**
- * matmulBf16 against a pre-quantized (cached) right-hand operand.
- * Bit-identical to matmulBf16(a, b) when `b` was built from the same
- * source matrix; skips the per-call copy + quantization of the weights.
+ * matmulBf16 against a pre-quantized (cached) right-hand operand — the
+ * one bf16 GEMM path; matmulBf16(a, b) quantizes `b` and calls it.
+ * Skips the per-call quantization of the weights.
  */
 Matrix matmulBf16(const Matrix &a, const QuantizedOperand &b);
 

@@ -18,19 +18,7 @@ double
 ServiceModel::seconds(std::uint64_t padded_len,
                       std::uint64_t batch) const
 {
-    PROSE_ASSERT(padded_len > 0 && batch > 0,
-                 "service query for an empty batch");
-    const auto key = std::make_pair(padded_len, batch);
-    const auto it = cache_.find(key);
-    if (it != cache_.end())
-        return it->second;
-    BertShape shape = model_;
-    shape.seqLen = padded_len;
-    shape.batch = batch;
-    const double service =
-        PerfSim(config_).run(shape).makespan + dispatchOverheadSeconds_;
-    cache_.emplace(key, service);
-    return service;
+    return sharedSeconds(padded_len, batch, 1).seconds;
 }
 
 SharedServiceSeconds
@@ -39,27 +27,25 @@ ServiceModel::sharedSeconds(std::uint64_t padded_len,
                             std::uint32_t tenants) const
 {
     PROSE_ASSERT(tenants > 0, "shared service query with zero tenants");
-    if (tenants == 1)
-        return SharedServiceSeconds{ seconds(padded_len, batch), 0.0 };
     PROSE_ASSERT(padded_len > 0 && batch > 0,
                  "service query for an empty batch");
     const auto key = std::make_tuple(padded_len, batch, tenants);
-    const auto it = sharedCache_.find(key);
-    if (it != sharedCache_.end())
+    const auto it = cache_.find(key);
+    if (it != cache_.end())
         return it->second;
     BertShape shape = model_;
     shape.seqLen = padded_len;
     shape.batch = batch;
-    std::vector<SimReport> per_tenant;
-    const SimReport combined = PerfSim(config_).runShared(
-        std::vector<BertShape>(tenants, shape), &per_tenant);
+    // One tenant is PerfSim::run bit for bit, with a zero link wait.
+    const SimReport combined =
+        PerfSim(config_).runShared(std::vector<BertShape>(tenants, shape));
     SharedServiceSeconds shared;
     // All tenants run the same shape, but arbitration order makes the
     // slots finish at slightly different times; charge the worst one.
     shared.seconds = combined.makespan + dispatchOverheadSeconds_;
     shared.linkWaitSeconds =
         combined.linkWaitSeconds / static_cast<double>(tenants);
-    sharedCache_.emplace(key, shared);
+    cache_.emplace(key, shared);
     return shared;
 }
 

@@ -5,10 +5,10 @@
  * at every admission / batch-close decision; answering with a full
  * PerfSim discrete-event run each time would make the front end
  * quadratic in stream length. One instance of this class memoizes the
- * PerfSim makespan per (padded length, batch size) — a few dozen
- * distinct shapes for any bucket config — so the first query per shape
- * pays the simulation and the rest are a map lookup. PerfSim itself is
- * deterministic, so the cache is too.
+ * PerfSim makespan per (padded length, batch size, link tenants) — a
+ * few dozen distinct shapes for any bucket config — so the first query
+ * per shape pays the simulation and the rest are a map lookup. PerfSim
+ * itself is deterministic, so the cache is too.
  */
 
 #ifndef PROSE_SERVE_SERVICE_MODEL_HH
@@ -49,14 +49,15 @@ class ServiceModel
     ServiceModel(ProseConfig config, BertShape model,
                  double dispatch_overhead_seconds = 2e-5);
 
-    /** Service seconds for `batch` sequences padded to `padded_len`. */
+    /** Service seconds for `batch` sequences padded to `padded_len`:
+     *  sharedSeconds(padded_len, batch, 1).seconds. */
     double seconds(std::uint64_t padded_len, std::uint64_t batch) const;
 
     /**
      * Service seconds when `tenants` identical instances contend for
      * one physical link (PerfSim::runShared under the hood; see
-     * docs/LINK_MODEL.md). tenants == 1 is exactly seconds() with a
-     * zero link wait. Memoized like seconds().
+     * docs/LINK_MODEL.md). tenants == 1 is PerfSim::run with a zero
+     * link wait. Memoized per (padded length, batch, tenants).
      */
     SharedServiceSeconds sharedSeconds(std::uint64_t padded_len,
                                        std::uint64_t batch,
@@ -82,15 +83,13 @@ class ServiceModel
     ProseConfig config_;
     BertShape model_;
     double dispatchOverheadSeconds_;
-    /** (padded length, batch) -> seconds. Ordered map: deterministic
-     *  iteration if anyone ever reports the cache. */
-    mutable std::map<std::pair<std::uint64_t, std::uint64_t>, double>
-        cache_;
-    /** (padded length, batch, tenants) -> shared service time. */
+    /** (padded length, batch, tenants) -> service time; seconds() is
+     *  the one-tenant entry. Ordered map: deterministic iteration if
+     *  anyone ever reports the cache. */
     mutable std::map<
         std::tuple<std::uint64_t, std::uint64_t, std::uint32_t>,
         SharedServiceSeconds>
-        sharedCache_;
+        cache_;
 };
 
 } // namespace prose

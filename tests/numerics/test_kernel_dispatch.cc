@@ -128,6 +128,16 @@ bitsIdentical(const std::vector<float> &a, const std::vector<float> &b)
     return ::testing::AssertionSuccess();
 }
 
+/** bitsIdentical over two same-shape matrices. */
+::testing::AssertionResult
+bitsIdentical(const Matrix &a, const Matrix &b)
+{
+    if (!a.sameShape(b))
+        return ::testing::AssertionFailure() << "shape mismatch";
+    return bitsIdentical(std::vector<float>(a.data(), a.data() + a.size()),
+                         std::vector<float>(b.data(), b.data() + b.size()));
+}
+
 /** Shapes chosen to cover full vector chunks, sub-width tails, and the
  *  1-element degenerate case for 8/16-lane kernels. */
 constexpr std::size_t kLengths[] = { 1, 2, 7, 8, 9, 15, 16, 17,
@@ -238,65 +248,6 @@ TEST(KernelDispatch, RowKernelsBitIdenticalAcrossTiers)
     }
 }
 
-TEST(KernelDispatch, GemmTileBitIdenticalAcrossTiersWithStrides)
-{
-    const KernelSet &ref = kernels::kernelsForTier(SimdTier::Scalar);
-    struct Shape
-    {
-        std::size_t rows, cols, depth;
-        bool finite; ///< finiteSpecialVector operands, else specialVector
-    };
-    // Tails below/above the 8/16/32/64-lane block widths, plus strided
-    // views (stride > cols) as the fsim tile loop produces them. Each
-    // shallow shape runs twice: once with the full special-value mix
-    // (NaN/Inf propagation and placement) and once with finite
-    // operands, since the mix leaves most of its accumulators NaN and
-    // would hide a wrong finite term. The last three cross the
-    // widened-B depth split (depth > 8192 / panel width), run two or
-    // more full 6-row groups plus a remainder, and span several column
-    // panels ending in a masked tail; there a NaN or Inf product is
-    // near certain, so they run with finite operands only.
-    const Shape shapes[] = {
-        { 1, 1, 1, false },       { 3, 5, 7, false },
-        { 4, 16, 8, false },      { 5, 17, 9, false },
-        { 8, 33, 16, false },     { 2, 64, 12, false },
-        { 3, 65, 5, false },      { 6, 128, 10, false },
-        { 7, 100, 23, false },    { 1, 1, 1, true },
-        { 3, 5, 7, true },        { 4, 16, 8, true },
-        { 5, 17, 9, true },       { 8, 33, 16, true },
-        { 2, 64, 12, true },      { 3, 65, 5, true },
-        { 6, 128, 10, true },     { 7, 100, 23, true },
-        { 13, 130, 300, true },   { 12, 64, 129, true },
-        { 17, 200, 1030, true },
-    };
-    for (SimdTier tier : availableTiers()) {
-        const KernelSet &ks = kernels::kernelsForTier(tier);
-        Rng rng(99);
-        for (const Shape &s : shapes) {
-            const std::size_t aStride = s.depth + 3;
-            const std::size_t bStride = s.cols + 5;
-            const std::size_t cStride = s.cols + 2;
-            const auto operand =
-                s.finite ? finiteSpecialVector : specialVector;
-            std::vector<std::uint16_t> a =
-                quantize(operand(rng, s.rows * aStride));
-            std::vector<std::uint16_t> b =
-                quantize(operand(rng, s.depth * bStride));
-            const std::vector<float> c0 =
-                specialVector(rng, s.rows * cStride);
-
-            std::vector<float> got = c0, want = c0;
-            ks.gemmTileBf16(got.data(), cStride, a.data(), aStride,
-                            b.data(), bStride, s.rows, s.cols, s.depth);
-            ref.gemmTileBf16(want.data(), cStride, a.data(), aStride,
-                             b.data(), bStride, s.rows, s.cols, s.depth);
-            EXPECT_TRUE(bitsIdentical(got, want))
-                << ks.name << " gemmTileBf16 " << s.rows << "x" << s.cols
-                << "x" << s.depth << (s.finite ? " finite" : " special");
-        }
-    }
-}
-
 TEST(KernelDispatch, GemmTileF32BitIdenticalAcrossTiersWithStrides)
 {
     const KernelSet &ref = kernels::kernelsForTier(SimdTier::Scalar);
@@ -401,20 +352,11 @@ TEST(KernelDispatch, GemmTileDoesNotSkipZeroTimesInf)
     // produce NaN in every tier — no zero-skip shortcuts.
     for (SimdTier tier : availableTiers()) {
         const KernelSet &ks = kernels::kernelsForTier(tier);
-        const std::uint16_t zero = Bfloat16::roundFromFloat(0.0f);
-        const std::uint16_t inf = Bfloat16::roundFromFloat(
-            std::numeric_limits<float>::infinity());
-        std::vector<float> acc(1, 0.0f);
-        ks.gemmTileBf16(acc.data(), 1, &zero, 1, &inf, 1, 1, 1, 1);
-        EXPECT_TRUE(std::isnan(acc[0]))
-            << ks.name << ": 0 * Inf must be NaN";
-
-        const float fzero = 0.0f;
-        const float finf = std::numeric_limits<float>::infinity();
-        acc[0] = 0.0f;
-        ks.gemmTileF32(acc.data(), 1, &fzero, 1, &finf, 1, 1, 1, 1);
-        EXPECT_TRUE(std::isnan(acc[0]))
-            << ks.name << ": fp32 0 * Inf must be NaN";
+        const float zero = 0.0f;
+        const float inf = std::numeric_limits<float>::infinity();
+        float acc = 0.0f;
+        ks.gemmTileF32(&acc, 1, &zero, 1, &inf, 1, 1, 1, 1);
+        EXPECT_TRUE(std::isnan(acc)) << ks.name << ": 0 * Inf must be NaN";
     }
 }
 
@@ -433,22 +375,51 @@ TEST(KernelDispatch, ActiveTierSwitchAndRestore)
 
 TEST(KernelDispatch, MatmulBf16BitIdenticalAcrossTiers)
 {
-    // End-to-end: the full bf16 matmul (arena + bits plane + pooled
-    // kernels) must agree bit-for-bit across every available tier.
+    // End-to-end: the bf16 matmul (arena scratch, per-block operand
+    // preparation, fp32 GEMM core), through both the per-call and the
+    // cached-weight overload, must agree bit-for-bit across every
+    // available tier. 13x300x130 crosses both cache blocks (k 128, j 64)
+    // and ends each in a tail that is not a whole vector; the last
+    // shape puts a zero A entry against an Inf weight, which must make
+    // NaN on every tier.
+    struct Shape
+    {
+        std::size_t m, depth, n;
+        bool zeroTimesInf;
+    };
+    const Shape shapes[] = {
+        { 13, 37, 21, false },
+        { 13, 300, 130, false },
+        { 13, 37, 21, true },
+    };
     const SimdTier original = kernels::activeSimdTier();
     Rng rng(7);
-    Matrix a(13, 37);
-    Matrix b(37, 21);
-    a.fillGaussian(rng, 0.0f, 2.0f);
-    b.fillGaussian(rng, 0.0f, 2.0f);
-
-    kernels::setActiveSimdTier(SimdTier::Scalar);
-    const Matrix want = matmulBf16(a, b);
-    for (SimdTier tier : availableTiers()) {
-        kernels::setActiveSimdTier(tier);
-        const Matrix got = matmulBf16(a, b);
-        EXPECT_EQ(Matrix::maxAbsDiff(got, want), 0.0f)
-            << "tier " << kernels::toString(tier);
+    for (const Shape &s : shapes) {
+        Matrix a(s.m, s.depth);
+        Matrix b(s.depth, s.n);
+        a.fillGaussian(rng, 0.0f, 2.0f);
+        b.fillGaussian(rng, 0.0f, 2.0f);
+        if (s.zeroTimesInf) {
+            a.at(2, 3) = 0.0f;
+            b.at(3, 4) = std::numeric_limits<float>::infinity();
+        }
+        kernels::setActiveSimdTier(SimdTier::Scalar);
+        const Matrix want = matmulBf16(a, b);
+        for (SimdTier tier : availableTiers()) {
+            kernels::setActiveSimdTier(tier);
+            const QuantizedOperand cached(b);
+            for (const Matrix &got : { matmulBf16(a, b),
+                                       matmulBf16(a, cached) }) {
+                EXPECT_TRUE(bitsIdentical(got, want))
+                    << "tier " << kernels::toString(tier) << " " << s.m
+                    << "x" << s.depth << "x" << s.n;
+                if (s.zeroTimesInf) {
+                    EXPECT_TRUE(std::isnan(got(2, 4)))
+                        << "tier " << kernels::toString(tier)
+                        << ": 0 * Inf must be NaN";
+                }
+            }
+        }
     }
     kernels::setActiveSimdTier(original);
 }
@@ -471,16 +442,8 @@ TEST(KernelDispatch, MatmulF32BitIdenticalAcrossTiers)
     const Matrix want = matmul(a, b);
     for (SimdTier tier : availableTiers()) {
         kernels::setActiveSimdTier(tier);
-        const Matrix got = matmul(a, b);
-        const float *gp = got.data();
-        const float *wp = want.data();
-        bool same = got.size() == want.size();
-        for (std::size_t i = 0; same && i < got.size(); ++i) {
-            if (std::isnan(gp[i]) && std::isnan(wp[i]))
-                continue;
-            same = bitsEqual(gp[i], wp[i]);
-        }
-        EXPECT_TRUE(same) << "tier " << kernels::toString(tier);
+        EXPECT_TRUE(bitsIdentical(matmul(a, b), want))
+            << "tier " << kernels::toString(tier);
     }
     kernels::setActiveSimdTier(original);
 }
